@@ -9,8 +9,9 @@
 //! The file also pins the ablation contract: selecting the staged path
 //! through the zero-copy builder chain (`with_zero_copy(false)`) leaves
 //! the analysis trace bitwise identical to the default configuration's,
-//! and that staged trace matches the checked-in pre-refactor fixture —
-//! the refactor must not perturb the schedule it replaced.
+//! and that staged trace — plus the coalesced zero-copy and steady
+//! adaptive schedules — match checked-in trace fixtures, so a refactor
+//! must not perturb the schedules it replaced.
 
 use gvirt::analyze::model::to_dump;
 use gvirt::gpu::DeviceConfig;
@@ -159,13 +160,15 @@ fn zero_copy_drops_gvm_staging_copies() {
     assert_eq!(gvm.rcv_copies, 4);
 }
 
-/// Analysis-trace dump of one deterministic staged run.
-fn staged_trace(mem: MemConfig) -> String {
+/// Analysis-trace dump of one deterministic 4-rank vecadd run of `rounds`
+/// rounds.
+fn staged_trace(mem: MemConfig, rounds: u32) -> String {
     let base = Scenario {
         analyze: true,
         ..Scenario::default()
     }
-    .with_mem(mem);
+    .with_mem(mem)
+    .with_rounds(rounds);
     let tasks = tasks_for("vecadd", &base.device, 4);
     let result = base.run(ExecutionMode::Virtualized, tasks);
     let tracer = result.tracer.expect("analysis run keeps its tracer");
@@ -177,8 +180,8 @@ fn staged_trace(mem: MemConfig) -> String {
 /// configuration — toggling the flag off really is the pre-refactor path.
 #[test]
 fn staged_ablation_trace_bitwise_identical_to_default() {
-    let default_dump = staged_trace(MemConfig::default());
-    let ablated_dump = staged_trace(MemConfig::zero_copy().with_zero_copy(false));
+    let default_dump = staged_trace(MemConfig::default(), 1);
+    let ablated_dump = staged_trace(MemConfig::zero_copy().with_zero_copy(false), 1);
     assert_eq!(
         default_dump, ablated_dump,
         "with_zero_copy(false) must reproduce the default staged schedule bitwise"
@@ -186,23 +189,61 @@ fn staged_ablation_trace_bitwise_identical_to_default() {
     assert!(!default_dump.is_empty());
 }
 
-/// The ablation contract, part 2: the staged schedule matches the
-/// checked-in pre-refactor trace fixture bitwise. Regenerate with
+/// The schedules pinned bitwise by checked-in trace fixtures, one per
+/// flush/transport path: `(mem config, rounds, fixture path)`.
+fn fixture_cases() -> Vec<(MemConfig, u32, &'static str)> {
+    vec![
+        // The staged, single-round, per-rank flush.
+        (
+            MemConfig::default(),
+            1,
+            "tests/fixtures/zerocopy_staged.trace",
+        ),
+        // The zero-copy coalesced wave flush (fused DMA, batched launch).
+        (
+            MemConfig::zero_copy().with_coalesce(true),
+            2,
+            "tests/fixtures/zerocopy_coalesced.trace",
+        ),
+        // Steady double-buffered SND prefetch with adaptive chunking.
+        (
+            MemConfig::adaptive(4, 64).with_steady(),
+            3,
+            "tests/fixtures/adaptive_steady.trace",
+        ),
+        // The same SND/prefetch/flush paths with every transfer chunked.
+        (
+            MemConfig::pipelined(3, 64).with_steady(),
+            3,
+            "tests/fixtures/chunked_steady.trace",
+        ),
+        // The wave flush's unfused runs: chunked transfers never fuse.
+        (
+            MemConfig::pipelined(3, 64)
+                .with_zero_copy(true)
+                .with_coalesce(true),
+            2,
+            "tests/fixtures/zerocopy_chunked_coalesced.trace",
+        ),
+    ]
+}
+
+/// The ablation contract, part 2: every fixture case's schedule matches
+/// its checked-in trace bitwise, so a refactor cannot perturb the
+/// schedules it replaced. Regenerate with
 /// `BLESS=1 cargo test --test zerocopy_differential` after an intentional
 /// schedule change.
 #[test]
 fn staged_trace_matches_prerefactor_fixture() {
-    let dump = staged_trace(MemConfig::default());
-    let path = "tests/fixtures/zerocopy_staged.trace";
-    if std::env::var("BLESS").is_ok() || !std::path::Path::new(path).exists() {
-        std::fs::create_dir_all("tests/fixtures").expect("create fixture dir");
-        std::fs::write(path, &dump).expect("write fixture");
+    for (mem, rounds, path) in fixture_cases() {
+        let dump = staged_trace(mem, rounds);
+        if std::env::var("BLESS").is_ok() || !std::path::Path::new(path).exists() {
+            std::fs::create_dir_all("tests/fixtures").expect("create fixture dir");
+            std::fs::write(path, &dump).expect("write fixture");
+        }
+        let golden = std::fs::read_to_string(path).expect("fixture present");
+        assert_eq!(dump, golden, "trace drifted from the fixture {path}");
     }
-    let golden = std::fs::read_to_string(path).expect("fixture present");
-    assert_eq!(
-        dump, golden,
-        "staged-copy trace drifted from the pre-refactor fixture"
-    );
 }
 
 proptest! {
