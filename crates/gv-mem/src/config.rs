@@ -40,14 +40,6 @@ pub struct PipelineConfig {
     /// round compute and D2H drain. Off by default (protocol timing is then
     /// bit-identical to the non-overlapped schedule).
     pub steady: bool,
-    /// Ablation baseline: restrict span-wise pre-issue to the session's
-    /// *first* round. Later rounds stage their whole payload serially and
-    /// upload it in one monolithic H2D at flush — the pre-steady-state
-    /// schedule the ROADMAP describes ("only the first iteration's H2D is
-    /// pre-issued from SND; steady-state iterations still stage
-    /// serially"). Kept so the steady-state sweep measures its win against
-    /// exactly that schedule.
-    pub first_round_only: bool,
 }
 
 impl Default for PipelineConfig {
@@ -57,7 +49,6 @@ impl Default for PipelineConfig {
             threshold: 16 << 20,
             adaptive: false,
             steady: false,
-            first_round_only: false,
         }
     }
 }
@@ -87,13 +78,6 @@ impl PipelineConfig {
     /// The same configuration with steady-state iteration overlap on.
     pub fn with_steady(mut self) -> Self {
         self.steady = true;
-        self
-    }
-
-    /// The same configuration restricted to first-round pre-issue (the
-    /// pre-steady-state ablation baseline).
-    pub fn with_first_round_only(mut self) -> Self {
-        self.first_round_only = true;
         self
     }
 
@@ -285,13 +269,6 @@ impl MemConfig {
     /// The same configuration with steady-state iteration overlap on.
     pub fn with_steady(mut self) -> Self {
         self.pipeline = self.pipeline.with_steady();
-        self
-    }
-
-    /// The same configuration restricted to first-round pre-issue (the
-    /// pre-steady-state ablation baseline).
-    pub fn with_first_round_only(mut self) -> Self {
-        self.pipeline = self.pipeline.with_first_round_only();
         self
     }
 

@@ -373,18 +373,16 @@ struct RankGpuAlloc {
 }
 
 /// The GVM's buffer-lifecycle state: staging pool, device-allocation
-/// cache, pipeline config, the adaptive chunk chooser, and the
-/// transfer-group id counter.
+/// cache, pipeline config, and the adaptive chunk chooser.
 struct MemLayer {
     mem: MemConfig,
     pool: StagingPool,
     devcache: DeviceAllocCache,
     chooser: AdaptiveChooser,
-    /// Reusable span scratch for the per-round staging/flush paths
-    /// ([`plan_scratch`](Self::plan_scratch)): steady-state rounds plan
-    /// their transfers without allocating.
+    /// Span scratch filled by [`plan`](Self::plan): steady-state rounds
+    /// plan their transfers without allocating.
     spans: Vec<gv_mem::Span>,
-    /// Reusable ACK-order scratch for `flush_group`.
+    /// Reusable ACK-order scratch for [`GvmCore::flush`].
     ack: Vec<usize>,
     /// Coalescing only: host address one past the end of the most recent
     /// input-lease acquisition, used as the placement hint for the next
@@ -397,52 +395,15 @@ struct MemLayer {
 }
 
 impl MemLayer {
-    /// Choose a chunk count for `payload`, allocate a transfer-group id,
-    /// and commit the plan to the analysis stream (so the staging checker
-    /// holds the transfer to exactly that tiling); returns the id and the
-    /// spans. Callers must stage/record every returned span.
-    fn plan(
-        &mut self,
-        tracer: &gv_sim::Tracer,
-        rank: usize,
-        payload: u64,
-    ) -> (u64, Vec<gv_mem::Span>) {
-        let k = self.chooser.choose(payload, &self.mem.pipeline);
-        self.plan_k(tracer, rank, payload, k)
-    }
-
-    /// [`plan`](Self::plan) with a caller-forced chunk count (the
-    /// first-round-only ablation pins steady-state rounds to `k = 1`).
-    fn plan_k(
-        &mut self,
-        tracer: &gv_sim::Tracer,
-        rank: usize,
-        payload: u64,
-        k: u64,
-    ) -> (u64, Vec<gv_mem::Span>) {
-        let spans = PipelineConfig::plan_exact(payload, k);
-        // Tracer-global id: co-resident GVMs share one analysis stream.
-        let xfer = tracer.alloc_xfer_id();
-        if payload > 0 {
-            gv_mem::record_plan(
-                tracer,
-                rank,
-                xfer,
-                payload,
-                spans.len() as u64,
-                self.mem.pipeline.chunks.max(1) as u64,
-                self.mem.pipeline.adaptive,
-            );
-        }
-        (xfer, spans)
-    }
-
-    /// [`plan`](Self::plan) into the reusable scratch (`self.spans`) —
-    /// the allocation-free variant the per-round hot paths use. Produces
-    /// exactly the spans and analysis records `plan` would.
-    fn plan_scratch(&mut self, tracer: &gv_sim::Tracer, rank: usize, payload: u64) -> u64 {
+    /// Choose a chunk count for `payload`, tile it into
+    /// [`spans`](Self::spans), allocate a transfer-group id, and commit
+    /// the plan to the analysis stream (so the staging checker holds the
+    /// transfer to exactly that tiling); returns the id. Callers must
+    /// stage/record every planned span.
+    fn plan(&mut self, tracer: &gv_sim::Tracer, rank: usize, payload: u64) -> u64 {
         let k = self.chooser.choose(payload, &self.mem.pipeline);
         PipelineConfig::plan_exact_into(payload, k, &mut self.spans);
+        // Tracer-global id: co-resident GVMs share one analysis stream.
         let xfer = tracer.alloc_xfer_id();
         if payload > 0 {
             gv_mem::record_plan(
@@ -456,6 +417,84 @@ impl MemLayer {
             );
         }
         xfer
+    }
+
+    /// Plan `dma`'s payload and issue every span as an async copy; returns
+    /// the span count.
+    fn submit(&mut self, ctx: &mut Ctx, cc: &gv_cuda::CudaContext, dma: &Dma<'_>) -> u64 {
+        let xfer = self.plan(ctx.tracer(), dma.rank, dma.payload);
+        for span in &self.spans {
+            dma.span(ctx, cc, xfer, *span, true);
+        }
+        self.spans.len() as u64
+    }
+}
+
+/// One payload transfer between a pinned staging lease and device memory
+/// on a rank's stream — what every DMA path (SND pre-issue, flush, swap)
+/// submits span by span.
+struct Dma<'a> {
+    rank: usize,
+    h2d: bool,
+    stream: gv_gpu::StreamId,
+    lease: &'a StagingLease,
+    /// Device address of the payload's first byte.
+    dev: DevicePtr,
+    payload: u64,
+}
+
+impl Dma<'_> {
+    /// Record `span` as a chunk of transfer `xfer`, first issuing its async
+    /// copy when `issue` (a span staged now whose copy waits for the flush
+    /// is recorded unlabelled).
+    fn span(
+        &self,
+        ctx: &mut Ctx,
+        cc: &gv_cuda::CudaContext,
+        xfer: u64,
+        span: gv_mem::Span,
+        issue: bool,
+    ) {
+        let label = if issue {
+            let cmd = if self.h2d {
+                cc.memcpy_h2d_async_at(
+                    ctx,
+                    self.stream,
+                    self.lease.buffer(),
+                    span.offset,
+                    self.dev.add(span.offset),
+                    span.len,
+                )
+            } else {
+                cc.memcpy_d2h_async_at(
+                    ctx,
+                    self.stream,
+                    self.dev.add(span.offset),
+                    self.lease.buffer(),
+                    span.offset,
+                    span.len,
+                )
+            }
+            .expect("GVM span DMA submit");
+            if ctx.tracer().analysis_enabled() {
+                format!("cmd-{}", cmd.id)
+            } else {
+                String::new()
+            }
+        } else {
+            String::new()
+        };
+        gv_mem::record_chunk(
+            ctx.tracer(),
+            cc.cuda().device().tracer_ordinal(),
+            self.rank,
+            xfer,
+            self.h2d,
+            span,
+            self.payload,
+            self.lease.id(),
+            label,
+        );
     }
 }
 
@@ -495,8 +534,8 @@ struct RankResources {
     /// The descriptor granted to the client at `REQ` `ACK` (what a valid
     /// `SND` must present back). Cleared when the lease is recycled.
     zc_desc: Option<StagingDescriptor>,
-    /// Completed `RCV` rounds this session (drives the first-round-only
-    /// ablation schedule).
+    /// Completed `RCV` rounds this session (selects a shaped session's
+    /// per-round input size).
     rounds_done: u32,
     task: GpuTask,
     state: RankState,
@@ -508,6 +547,21 @@ struct RankResources {
     /// Response recorded for `last_seq`, for idempotent retries. `None`
     /// while the request is still barriered (`STR` awaiting flush).
     last_resp: Option<ResponseKind>,
+}
+
+/// The staging lease a rank's transfer sources from (`h2d`) or drains
+/// into: the zero-copy segment lease, else the staged input or output
+/// lease.
+fn xfer_lease(rank: &RankResources, zc: bool, h2d: bool) -> &StagingLease {
+    if zc {
+        rank.zc_lease.as_ref().expect("zero-copy lease")
+    } else if h2d {
+        rank.pinned_in.as_ref().expect("SND leased pinned_in")
+    } else {
+        rank.pinned_out
+            .as_ref()
+            .expect("pinned_out leased at flush")
+    }
 }
 
 /// Handle returned by [`Gvm::install`]: everything a client process needs
@@ -614,7 +668,7 @@ impl Gvm {
         let cudas = cudas.to_vec();
         let node = node.clone();
         sim.spawn(&h.endpoints.gvm.clone(), move |ctx| {
-            gvm_main(ctx, h, cudas, node);
+            GvmCore::boot(ctx, h, cudas, &node).serve(ctx);
         });
     }
 
@@ -627,90 +681,168 @@ impl Gvm {
         let cudas = cudas.to_vec();
         let node = node.clone();
         ctx.spawn(&h.endpoints.gvm.clone(), move |ctx| {
-            gvm_main(ctx, h, cudas, node);
+            GvmCore::boot(ctx, h, cudas, &node).serve(ctx);
         });
     }
 }
 
-fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
-    let cfg = &h.config;
-    let endpoints = &h.endpoints;
-    let ft = cfg.fault_tolerance.clone();
+/// The manager process: what [`boot`](Self::boot) sets up (paper Fig. 8,
+/// left column top) and the serve loop then drives, one handler per
+/// [`RequestKind`].
+struct GvmCore {
+    h: GvmHandle,
+    cfg: Arc<GvmConfig>,
+    cudas: Vec<CudaDevice>,
+    /// One charged context per device.
+    contexts: Vec<gv_cuda::CudaContext>,
+    req_q: MessageQueue<Request>,
+    ranks: Vec<RankResources>,
+    ml: MemLayer,
+    scheduler: Box<dyn Scheduler>,
+    /// Device memory is allocated at first `SND` rather than at boot.
+    lazy_alloc: bool,
+    /// Ranks barriered on `STR`, in arrival order.
+    str_waiting: Vec<usize>,
+    /// When the oldest pending STR arrived — anchors the scheduler's batch
+    /// timeout and the idle-gap metric.
+    batch_start: Option<gv_sim::SimTime>,
+    /// Absolute deadline for the current barrier round, fixed when the
+    /// first STR arrives. Retried/duplicated requests received during the
+    /// stall must NOT push it out, or steady client retries could keep a
+    /// dead barrier alive forever.
+    barrier_deadline: Option<gv_sim::SimTime>,
+}
 
-    // --- Initialization (paper Fig. 8, left column top) -----------------
-    // "Gets the GPU device / Initializes Context": one charged context per
-    // device (a single-GPU node pays exactly one creation).
-    let contexts: Vec<gv_cuda::CudaContext> = cudas
-        .iter()
-        .enumerate()
-        .map(|(i, cuda)| cuda.create_context(ctx, &format!("{}-ctx{i}", endpoints.gvm)))
-        .collect();
-    let req_q = h
-        .req_mq
-        .create(&endpoints.request_queue(), cfg.req_queue_capacity)
-        .expect("request queue name free");
+impl GvmCore {
+    /// Initialization: contexts, the request queue, every rank's virtual
+    /// resources, and the dispatch policy; opens `ready`.
+    fn boot(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: &Node) -> GvmCore {
+        let cfg = h.config.clone();
+        // "Gets the GPU device / Initializes Context": one charged context
+        // per device (a single-GPU node pays exactly one creation).
+        let contexts: Vec<gv_cuda::CudaContext> = cudas
+            .iter()
+            .enumerate()
+            .map(|(i, cuda)| cuda.create_context(ctx, &format!("{}-ctx{i}", h.endpoints.gvm)))
+            .collect();
+        let req_q = h
+            .req_mq
+            .create(&h.endpoints.request_queue(), cfg.req_queue_capacity)
+            .expect("request queue name free");
 
-    // Fault-free GVMs pre-allocate at boot (Fig. 8); the fault-tolerant
-    // one overcommits and allocates at first SND so an OOM can be answered
-    // with a NAK instead of a boot-time panic. A finite quota forces the
-    // lazy path too (an over-quota demand must become an OverQuota NAK at
-    // admission, never a silent boot-time grab), as does swap: an
-    // oversubscribed session set cannot all be resident at boot.
-    let lazy_alloc = ft.is_some() || cfg.has_finite_quota() || cfg.swap;
+        // Fault-free GVMs pre-allocate at boot (Fig. 8); the fault-tolerant
+        // one overcommits and allocates at first SND so an OOM can be
+        // answered with a NAK instead of a boot-time panic. A finite quota
+        // forces the lazy path too (an over-quota demand must become an
+        // OverQuota NAK at admission, never a silent boot-time grab), as
+        // does swap: an oversubscribed session set cannot all be resident
+        // at boot.
+        let lazy_alloc = cfg.fault_tolerance.is_some() || cfg.has_finite_quota() || cfg.swap;
 
-    // One lease window serves both directions on the zero-copy path, so
-    // it cannot coexist with the steady-state double buffer (which needs
-    // next round's input alive while this round's output drains).
-    assert!(
-        !(cfg.mem.zero_copy && cfg.mem.pipeline.steady),
-        "zero_copy is incompatible with steady double-buffering"
-    );
+        // One lease window serves both directions on the zero-copy path, so
+        // it cannot coexist with the steady-state double buffer (which
+        // needs next round's input alive while this round's output drains).
+        assert!(
+            !(cfg.mem.zero_copy && cfg.mem.pipeline.steady),
+            "zero_copy is incompatible with steady double-buffering"
+        );
 
-    // The buffer-lifecycle layer: one staging pool and one device
-    // allocation cache per GVM instance, plus the running transfer-group
-    // counter that ties chunk records together in analysis traces. The
-    // adaptive chunk chooser is seeded from the models this run already
-    // uses — staging rate from the node's memcpy bandwidth, transfer rate
-    // from the device's pinned H2D bandwidth, per-chunk overhead from the
-    // fixed latencies both sides charge per span — and refined online by
-    // an EWMA of measured staging latency. Built before the rank loop
-    // because zero-copy boot leases each rank's segment from the pool.
-    let dev_cfg = cudas[0].device().config();
-    let chooser = AdaptiveChooser::new(
-        1.0 / node.config().memcpy_gbps,
-        1.0e9 / dev_cfg.h2d_bytes_per_sec(true),
-        (node.config().shm_latency + dev_cfg.dma_latency).as_nanos() as f64,
-    );
-    let mut ml = MemLayer {
-        mem: cfg.mem,
-        pool: StagingPool::with_config(cfg.mem.pool),
-        devcache: DeviceAllocCache::new(),
-        chooser,
-        spans: Vec::new(),
-        ack: Vec::new(),
-        chain_next: None,
-    };
+        // The buffer-lifecycle layer: one staging pool and one device
+        // allocation cache per GVM instance. The adaptive chunk chooser is
+        // seeded from the models this run already uses — staging rate from
+        // the node's memcpy bandwidth, transfer rate from the device's
+        // pinned H2D bandwidth, per-chunk overhead from the fixed latencies
+        // both sides charge per span — and refined online by an EWMA of
+        // measured staging latency.
+        let dev_cfg = cudas[0].device().config();
+        let chooser = AdaptiveChooser::new(
+            1.0 / node.config().memcpy_gbps,
+            1.0e9 / dev_cfg.h2d_bytes_per_sec(true),
+            (node.config().shm_latency + dev_cfg.dma_latency).as_nanos() as f64,
+        );
+        let ml = MemLayer {
+            mem: cfg.mem,
+            pool: StagingPool::with_config(cfg.mem.pool),
+            devcache: DeviceAllocCache::new(),
+            chooser,
+            spans: Vec::new(),
+            ack: Vec::new(),
+            chain_next: None,
+        };
+        // The dispatch policy. Per-rank service estimates feed shortest-
+        // job-first ordering; the other policies ignore them.
+        let costs_ms: Vec<f64> = (0..cfg.ntask)
+            .map(|r| {
+                sched::estimate_cost_ms(
+                    &h.tasks[r],
+                    cudas[r % cudas.len()].device().config(),
+                    node.config(),
+                )
+            })
+            .collect();
+        let scheduler = cfg.scheduler.build(costs_ms);
+        let mut core = GvmCore {
+            ranks: Vec::with_capacity(cfg.ntask),
+            h,
+            cfg,
+            cudas,
+            contexts,
+            req_q,
+            ml,
+            scheduler,
+            lazy_alloc,
+            str_waiting: Vec::new(),
+            batch_start: None,
+            barrier_deadline: None,
+        };
+        for r in 0..core.cfg.ntask {
+            let rank = core.boot_rank(ctx, node, r);
+            core.ranks.push(rank);
+            // With quota accounting on, an eager boot allocation is charged
+            // (and its quota declared) right here; the lazy path declares
+            // at REQ and charges at first SND.
+            if core.cfg.quotas.is_some() && !lazy_alloc {
+                core.declare_quota(ctx, r);
+                let bytes = core.ranks[r].task.device_bytes.max(1);
+                core.quota_charge(ctx, r, bytes);
+            }
+        }
+        ctx.tracer()
+            .record_analysis(gv_sim::AnalysisRecord::ProtoSched {
+                time: ctx.now(),
+                gvm: core.h.endpoints.gvm.clone(),
+                policy: core.scheduler.name().to_string(),
+                partial: core.scheduler.partial_flush(),
+            });
+        core.h.ready.open(ctx);
+        core
+    }
 
-    let mut ranks: Vec<RankResources> = Vec::with_capacity(cfg.ntask);
-    for r in 0..cfg.ntask {
-        let task = h.tasks[r].clone();
+    /// Rank `r`'s virtual resources: shared-memory segment, response
+    /// queue, stream, and — unless allocation is lazy — device memory with
+    /// its kernels pre-bound.
+    fn boot_rank(&mut self, ctx: &mut Ctx, node: &Node, r: usize) -> RankResources {
+        let task = self.h.tasks[r].clone();
+        let endpoints = &self.h.endpoints;
         // Shaped multi-round sessions size the segment (and the zero-copy
         // lease) for their largest round.
         let shm_size = task.max_bytes_in().max(task.bytes_out).max(1);
         // Ranks map onto NUMA nodes by their core pinning so a rank's
         // leases come from free lists local to its socket.
         let cores = node.config().cores.max(1);
-        let numa = (r % cores) * cfg.mem.pool.numa_nodes.max(1) / cores;
+        let numa = (r % cores) * self.cfg.mem.pool.numa_nodes.max(1) / cores;
         // Zero-copy: the rank's segment is not a private byte array the
         // GVM copies out of — it is a *view of a pinned pool lease*. The
         // client's SND write lands directly in pinned memory and H2D
         // issues straight from it; the staged-copy path keeps the plain
         // segment.
-        let (shm, zc_lease) = if cfg.mem.zero_copy {
-            let lease = ml
+        let (shm, zc_lease) = if self.cfg.mem.zero_copy {
+            let lease = self
+                .ml
                 .pool
                 .acquire_on(ctx.tracer(), shm_size, task.is_functional(), numa);
-            let shm = h
+            let shm = self
+                .h
                 .shm
                 .create_backed(
                     &endpoints.shm(r),
@@ -720,60 +852,33 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
                 .expect("shm name free");
             (shm, Some(lease))
         } else {
-            let shm = h
+            let shm = self
+                .h
                 .shm
                 .create(&endpoints.shm(r), shm_size)
                 .expect("shm name free");
             (shm, None)
         };
-        let resp = h
+        let resp = self
+            .h
             .resp_mq
             .create(&endpoints.response_queue(r), None)
             .expect("response queue name free");
-        let dev_idx = r % contexts.len();
-        let cc = &contexts[dev_idx];
+        let dev_idx = r % self.contexts.len();
+        let cc = &self.contexts[dev_idx];
         let stream = cc.stream_create();
-        let gpu = if !lazy_alloc {
+        let gpu = (!self.lazy_alloc).then(|| {
             let dev_base = cc
                 .malloc(task.device_bytes.max(1))
                 .expect("GVM device allocation");
             // "Prepares the kernels to be executed when initialized".
             let kernels = task.bind_kernels(dev_base);
-            Some(RankGpuAlloc { dev_base, kernels })
-        } else {
-            None
-        };
-        // With quota accounting on, an eager boot allocation is charged
-        // (and its quota declared) right here; the lazy path declares at
-        // REQ and charges at first SND.
-        let mut charged = 0u64;
-        if cfg.quotas.is_some() && gpu.is_some() {
-            let bytes = task.device_bytes.max(1);
-            let quota = cfg.quota_for(r);
-            let cap = cudas[dev_idx].device().with_memory(|m| m.capacity());
-            ctx.tracer()
-                .record_analysis(gv_sim::AnalysisRecord::QuotaSet {
-                    time: ctx.now(),
-                    gvm: endpoints.gvm.clone(),
-                    rank: r,
-                    quota: quota.resolve(cap).unwrap_or(0),
-                    demand: bytes,
-                });
-            charged = bytes;
-            cudas[dev_idx].device().with_memory(|m| m.charge(bytes));
-            ctx.tracer()
-                .record_analysis(gv_sim::AnalysisRecord::QuotaCharge {
-                    time: ctx.now(),
-                    gvm: endpoints.gvm.clone(),
-                    rank: r,
-                    bytes,
-                    charged,
-                });
-        }
+            RankGpuAlloc { dev_base, kernels }
+        });
         // Pinned staging is leased per round from the shared pool (at SND
         // for input, at flush for output) instead of allocated per rank
         // here — recycled leases make steady-state rounds allocation-free.
-        ranks.push(RankResources {
+        RankResources {
             shm,
             resp,
             dev_idx,
@@ -791,154 +896,102 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
             rounds_done: 0,
             task,
             state: RankState::Active,
-            charged,
+            charged: 0,
             last_seq: 0,
             last_resp: None,
-        });
-    }
-    // The dispatch policy. Per-rank service estimates feed shortest-job-
-    // first ordering; the other policies ignore them.
-    let costs_ms: Vec<f64> = (0..cfg.ntask)
-        .map(|r| {
-            sched::estimate_cost_ms(
-                &h.tasks[r],
-                cudas[r % cudas.len()].device().config(),
-                node.config(),
-            )
-        })
-        .collect();
-    let mut scheduler: Box<dyn Scheduler> = cfg.scheduler.build(costs_ms);
-    ctx.tracer()
-        .record_analysis(gv_sim::AnalysisRecord::ProtoSched {
-            time: ctx.now(),
-            gvm: h.endpoints.gvm.clone(),
-            policy: scheduler.name().to_string(),
-            partial: scheduler.partial_flush(),
-        });
-    h.ready.open(ctx);
-
-    // --- Serve loop ------------------------------------------------------
-    let mut str_waiting: Vec<usize> = Vec::new();
-    // Absolute deadline for the current barrier round, fixed when the
-    // first STR arrives. Retried/duplicated requests received during the
-    // stall must NOT push it out, or steady client retries could keep a
-    // dead barrier alive forever.
-    let mut barrier_deadline: Option<gv_sim::SimTime> = None;
-    // When the oldest pending STR arrived — anchors the scheduler's batch
-    // timeout and the idle-gap metric.
-    let mut batch_start: Option<gv_sim::SimTime> = None;
-    let mut finished = 0usize; // released + evicted
-    while finished < cfg.ntask {
-        if str_waiting.is_empty() {
-            barrier_deadline = None;
-            batch_start = None;
         }
-        // The scheduler's own deadline (AdaptiveBatch timer), independent
-        // of fault tolerance: it fires a dispatch, never an eviction.
-        let sched_deadline = match (scheduler.batch_timeout(), batch_start) {
-            (Some(t), Some(b)) => Some(b + t),
-            _ => None,
-        };
-        let req = if ft.is_some() || sched_deadline.is_some() {
-            let ft_deadline = ft.as_ref().map(|ft| match barrier_deadline {
-                Some(d) => d,
-                None => ctx.now() + ft.idle_timeout,
+    }
+
+    /// The serve loop: receive and handle requests until no rank is still
+    /// being served, then shut down.
+    fn serve(mut self, ctx: &mut Ctx) {
+        while self.ranks.iter().any(|k| k.state == RankState::Active) {
+            if self.str_waiting.is_empty() {
+                self.barrier_deadline = None;
+                self.batch_start = None;
+            }
+            // The scheduler's own deadline (AdaptiveBatch timer),
+            // independent of fault tolerance: it fires a dispatch, never an
+            // eviction.
+            let sched_deadline = match (self.scheduler.batch_timeout(), self.batch_start) {
+                (Some(t), Some(b)) => Some(b + t),
+                _ => None,
+            };
+            let ft_deadline = self.cfg.fault_tolerance.as_ref().map(|ft| {
+                self.barrier_deadline
+                    .unwrap_or_else(|| ctx.now() + ft.idle_timeout)
             });
             let deadline = match (ft_deadline, sched_deadline) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => unreachable!("timed receive requires a deadline"),
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
             };
-            match req_q.recv_timeout(ctx, deadline.duration_since(ctx.now())) {
-                RecvTimeout::Msg(req) => req,
-                RecvTimeout::Closed => break,
-                RecvTimeout::TimedOut => {
-                    let sched_fired =
-                        sched_deadline.is_some_and(|sd| ft_deadline.is_none_or(|fd| sd <= fd));
-                    if sched_fired {
-                        // Batch timer expired: flush whatever is pending,
-                        // nobody is presumed dead.
-                        ctx.tracer().instant(ctx.now(), "sched", "batch-timeout");
-                        let active = active_count(&ranks);
-                        let groups = scheduler.on_deadline(&str_waiting, active);
-                        dispatch_groups(
-                            ctx,
-                            &h,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut batch_start,
-                            &mut ml,
-                            groups,
-                        );
-                    } else if str_waiting.is_empty() {
-                        // Nothing barriered and nobody talking: the
-                        // remaining active ranks are gone. Evict them all.
-                        for r in 0..ranks.len() {
-                            if ranks[r].state == RankState::Active {
-                                evict(
-                                    ctx,
-                                    &h,
-                                    &cudas,
-                                    &contexts,
-                                    &mut ranks,
-                                    &mut str_waiting,
-                                    &mut ml,
-                                    r,
-                                );
-                                finished += 1;
-                            }
-                        }
-                    } else {
-                        // Barrier stalled: evict the stragglers; the
-                        // policy re-arms at the reduced width and flushes
-                        // so survivors complete.
-                        for r in 0..ranks.len() {
-                            if ranks[r].state == RankState::Active && !str_waiting.contains(&r) {
-                                evict(
-                                    ctx,
-                                    &h,
-                                    &cudas,
-                                    &contexts,
-                                    &mut ranks,
-                                    &mut str_waiting,
-                                    &mut ml,
-                                    r,
-                                );
-                                finished += 1;
-                            }
-                        }
-                        ctx.tracer()
-                            .fault(ctx.now(), format!("barrier-degrade:{}", str_waiting.len()));
-                        let active = active_count(&ranks);
-                        let groups = scheduler.on_deadline(&str_waiting, active);
-                        dispatch_groups(
-                            ctx,
-                            &h,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut batch_start,
-                            &mut ml,
-                            groups,
-                        );
+            let req = match deadline {
+                None => match self.req_q.recv(ctx) {
+                    Some(req) => req,
+                    None => break,
+                },
+                Some(d) => match self.req_q.recv_timeout(ctx, d.duration_since(ctx.now())) {
+                    RecvTimeout::Msg(req) => req,
+                    RecvTimeout::Closed => break,
+                    RecvTimeout::TimedOut => {
+                        let sched_fired =
+                            sched_deadline.is_some_and(|sd| ft_deadline.is_none_or(|fd| sd <= fd));
+                        self.on_timeout(ctx, sched_fired);
+                        continue;
                     }
-                    continue;
+                },
+            };
+            self.handle(ctx, req);
+        }
+        self.shutdown(ctx);
+    }
+
+    /// A timed receive expired. The scheduler's batch timer flushes what
+    /// is pending, nobody presumed dead. A fault-tolerance deadline evicts
+    /// the ranks presumed gone — every active rank when nothing is
+    /// barriered, else the barrier's stragglers, after which the policy
+    /// re-arms at the reduced width and flushes so survivors complete.
+    fn on_timeout(&mut self, ctx: &mut Ctx, sched_fired: bool) {
+        if sched_fired {
+            ctx.tracer().instant(ctx.now(), "sched", "batch-timeout");
+        } else {
+            let stalled_barrier = !self.str_waiting.is_empty();
+            for r in 0..self.ranks.len() {
+                if self.ranks[r].state == RankState::Active && !self.str_waiting.contains(&r) {
+                    self.evict(ctx, r);
                 }
             }
-        } else {
-            let Some(req) = req_q.recv(ctx) else { break };
-            req
-        };
+            if !stalled_barrier {
+                return;
+            }
+            ctx.tracer().fault(
+                ctx.now(),
+                format!("barrier-degrade:{}", self.str_waiting.len()),
+            );
+        }
+        let active = self.active_count();
+        let groups = self.scheduler.on_deadline(&self.str_waiting, active);
+        self.dispatch(ctx, groups);
+    }
+
+    /// Route one request: drop forged ranks, answer retries from the
+    /// recorded response, refuse ranks no longer served, then run the
+    /// stage's handler.
+    fn handle(&mut self, ctx: &mut Ctx, req: Request) {
         let r = req.rank;
+        // The request queue is shared, so `req.rank` is only a claim. An
+        // out-of-range rank has no response queue to NAK on: drop it.
+        if r >= self.ranks.len() {
+            ctx.tracer().fault(ctx.now(), format!("bad-rank:{r}"));
+            return;
+        }
         // Record construction clones the instance name; skip it when no
         // analysis sink is attached so the request loop stays
         // allocation-free (the tracer drops gated records anyway).
         if ctx.tracer().analysis_enabled() {
             ctx.tracer().record_analysis(gv_sim::AnalysisRecord::Proto {
                 time: ctx.now(),
-                gvm: h.endpoints.gvm.clone(),
+                gvm: self.h.endpoints.gvm.clone(),
                 rank: r,
                 kind: req.kind.label(),
                 seq: req.seq,
@@ -948,753 +1001,1152 @@ fn gvm_main(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: Node) {
         // Idempotent retry handling: a sequence number at or below the
         // last one served is a duplicate (client retry after a lost
         // response, or a duplicated request message).
-        if req.seq != 0 && req.seq <= ranks[r].last_seq {
-            h.stats.lock().dedup_hits += 1;
-            if req.seq == ranks[r].last_seq {
-                if let Some(kind) = ranks[r].last_resp {
+        let rank = &mut self.ranks[r];
+        if req.seq != 0 && req.seq <= rank.last_seq {
+            self.h.stats.lock().dedup_hits += 1;
+            if req.seq == rank.last_seq {
+                if let Some(kind) = rank.last_resp {
                     // Replay carries the current grant so a client whose
                     // REQ ACK was lost still receives its descriptor.
-                    let _ = ranks[r].resp.send(
+                    let desc = rank.zc_desc;
+                    let _ = rank.resp.send(
                         ctx,
                         Response {
                             seq: req.seq,
                             kind,
-                            desc: ranks[r].zc_desc,
+                            desc,
                         },
                     );
                 }
                 // else: the original is still barriered in str_waiting —
                 // the ACK will go out at flush; never barrier twice.
             }
-            continue;
+            return;
         }
-        ranks[r].last_seq = req.seq;
-        ranks[r].last_resp = None;
+        rank.last_seq = req.seq;
+        rank.last_resp = None;
 
         // An evicted (or already-released) rank gets a NAK so a retrying
         // client stops instead of timing out forever.
-        if ranks[r].state != RankState::Active {
-            h.stats.lock().naks += 1;
-            let _ = ranks[r].resp.send(ctx, Response::nak(req.seq));
-            ranks[r].last_resp = Some(ResponseKind::Nak(NakReason::Evicted));
-            continue;
+        if rank.state != RankState::Active {
+            self.h.stats.lock().naks += 1;
+            send_recorded(ctx, rank, Response::nak(req.seq));
+            return;
         }
 
         match req.kind {
-            RequestKind::Req => {
-                // "Provides Virtual and GPU Resource" — pre-created at init
-                // (fault-free) or deferred to SND (fault-tolerant). On the
-                // lazy path the quota is declared and enforced here: a
-                // session whose declared demand cannot ever fit its quota
-                // is refused at admission, not after staging work.
-                if cfg.quotas.is_some() && lazy_alloc {
-                    let demand = ranks[r].task.device_bytes.max(1);
-                    let dev_idx = ranks[r].dev_idx;
-                    let cap = cudas[dev_idx].device().with_memory(|m| m.capacity());
-                    let quota = cfg.quota_for(r);
-                    ctx.tracer()
-                        .record_analysis(gv_sim::AnalysisRecord::QuotaSet {
-                            time: ctx.now(),
-                            gvm: h.endpoints.gvm.clone(),
-                            rank: r,
-                            quota: quota.resolve(cap).unwrap_or(0),
-                            demand,
-                        });
-                    if !quota.admits(demand, cap) {
-                        ctx.tracer().fault(ctx.now(), format!("quota-nak:rank{r}"));
-                        {
-                            let mut stats = h.stats.lock();
-                            stats.naks += 1;
-                            stats.quota_naks += 1;
-                        }
-                        send_recorded(
-                            ctx,
-                            &mut ranks[r],
-                            Response::nak_reason(req.seq, NakReason::OverQuota),
-                        );
-                        evict(
-                            ctx,
-                            &h,
-                            &cudas,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut ml,
-                            r,
-                        );
-                        finished += 1;
-                        let active = active_count(&ranks);
-                        let groups = scheduler.on_membership(&str_waiting, active);
-                        dispatch_groups(
-                            ctx,
-                            &h,
-                            &contexts,
-                            &mut ranks,
-                            &mut str_waiting,
-                            &mut batch_start,
-                            &mut ml,
-                            groups,
-                        );
-                        continue;
-                    }
-                }
-                // Zero-copy: the REQ ACK carries the staging descriptor —
-                // the client's window into this rank's lease-backed
-                // segment. The generation stamp is what later SNDs are
-                // validated against.
-                let mut resp = Response::ack(req.seq);
-                if cfg.mem.zero_copy {
-                    let rank = &mut ranks[r];
-                    let lease = rank
-                        .zc_lease
-                        .as_ref()
-                        .expect("zero-copy rank leased at boot");
-                    let len = rank.task.max_bytes_in().max(rank.task.bytes_out).max(1);
-                    let desc = lease.descriptor(0, len);
-                    rank.zc_desc = Some(desc);
-                    if ctx.tracer().analysis_enabled() {
-                        ctx.tracer()
-                            .record_analysis(gv_sim::AnalysisRecord::DescGrant {
-                                time: ctx.now(),
-                                gvm: h.endpoints.gvm.clone(),
-                                rank: r,
-                                segment: endpoints.shm(r),
-                                buf: desc.segment,
-                                generation: desc.generation,
-                                len: desc.len,
-                            });
-                    }
-                    resp = resp.with_desc(desc);
-                }
-                send_recorded(ctx, &mut ranks[r], resp);
+            RequestKind::Req => self.on_req(ctx, r, req.seq),
+            RequestKind::Snd => self.on_snd(ctx, r, &req),
+            RequestKind::Str => self.on_str(ctx, r, req.seq),
+            RequestKind::Stp => self.on_stp(ctx, r, req.seq),
+            RequestKind::Rcv => self.on_rcv(ctx, r, req.seq),
+            RequestKind::Rls => self.on_rls(ctx, r, req.seq),
+        }
+    }
+
+    /// `REQ`: "Provides Virtual and GPU Resource" — pre-created at boot
+    /// (fault-free) or deferred to `SND` (lazy). On the lazy path the quota
+    /// is declared and enforced here: a session whose declared demand can
+    /// never fit its quota is refused at admission, not after staging work.
+    fn on_req(&mut self, ctx: &mut Ctx, r: usize, seq: u64) {
+        if self.cfg.quotas.is_some() && self.lazy_alloc && !self.declare_quota(ctx, r) {
+            self.nak_evict(ctx, r, seq, NakReason::OverQuota);
+            return;
+        }
+        // Zero-copy: the REQ ACK carries the staging descriptor — the
+        // client's window into this rank's lease-backed segment. The
+        // generation stamp is what later SNDs are validated against.
+        let mut resp = Response::ack(seq);
+        if self.cfg.mem.zero_copy {
+            let rank = &mut self.ranks[r];
+            let lease = rank
+                .zc_lease
+                .as_ref()
+                .expect("zero-copy rank leased at boot");
+            let len = rank.task.max_bytes_in().max(rank.task.bytes_out).max(1);
+            let desc = lease.descriptor(0, len);
+            rank.zc_desc = Some(desc);
+            if ctx.tracer().analysis_enabled() {
+                ctx.tracer()
+                    .record_analysis(gv_sim::AnalysisRecord::DescGrant {
+                        time: ctx.now(),
+                        gvm: self.h.endpoints.gvm.clone(),
+                        rank: r,
+                        segment: self.h.endpoints.shm(r),
+                        buf: desc.segment,
+                        generation: desc.generation,
+                        len: desc.len,
+                    });
             }
-            RequestKind::Snd => {
-                // Lazy GVMs (fault-tolerant or finite-quota) allocate
-                // device memory here; an OOM becomes a NAK + eviction
-                // instead of a wedge. Allocations parked by earlier
-                // evictions are reused before touching the device
-                // allocator, and with swap enabled a miss may evict idle
-                // parked working sets to host staging to make room.
-                if lazy_alloc && ranks[r].gpu.is_none() {
-                    let dev_bytes = ranks[r].task.device_bytes.max(1);
-                    let dev_idx = ranks[r].dev_idx;
-                    let stream = ranks[r].stream;
-                    let numa = ranks[r].numa;
-                    let functional = ranks[r].task.is_functional();
-                    let base = match ml.devcache.take(dev_idx, dev_bytes) {
-                        Some(CachedAlloc::Resident(ptr)) => {
-                            // A recycled allocation must look fresh to a
-                            // functional task: untouched device memory
-                            // reads as zeroes, so restore that. The
-                            // restore goes through the same chunked
-                            // planner as payload transfers, so the
-                            // staging checker audits its tiling too.
-                            if functional {
-                                let (xfer, spans) = ml.plan(ctx.tracer(), r, dev_bytes);
-                                let zeros = vec![0u8; dev_bytes as usize];
-                                for span in &spans {
-                                    cudas[dev_idx]
-                                        .device()
-                                        .with_memory(|m| {
-                                            m.write_bytes(
-                                                ptr.add(span.offset),
-                                                &zeros[span.offset as usize
-                                                    ..(span.offset + span.len) as usize],
-                                            )
-                                        })
-                                        .expect("zero recycled device allocation");
-                                    gv_mem::record_chunk(
-                                        ctx.tracer(),
-                                        cudas[dev_idx].device().tracer_ordinal(),
-                                        r,
-                                        xfer,
-                                        true,
-                                        *span,
-                                        dev_bytes,
-                                        0,
-                                        String::new(),
-                                    );
-                                }
-                            }
-                            Ok(ptr)
-                        }
-                        Some(CachedAlloc::Swapped(lease)) => {
-                            // Re-admit a swapped-out working set: allocate
-                            // device memory (demand-swapping others if
-                            // needed), restore the staged bytes through
-                            // the chunked planner, and only then return
-                            // the lease to the pool.
-                            match alloc_with_swap(
-                                ctx, &h, &cudas, &contexts, &mut ml, r, dev_idx, stream, numa,
-                                dev_bytes,
-                            ) {
-                                Ok(ptr) => {
-                                    let (xfer, spans) = ml.plan(ctx.tracer(), r, dev_bytes);
-                                    for span in &spans {
-                                        let cmd = contexts[dev_idx]
-                                            .memcpy_h2d_async_at(
-                                                ctx,
-                                                stream,
-                                                lease.buffer(),
-                                                span.offset,
-                                                ptr.add(span.offset),
-                                                span.len,
-                                            )
-                                            .expect("swap-in H2D submit");
-                                        gv_mem::record_chunk(
-                                            ctx.tracer(),
-                                            cudas[dev_idx].device().tracer_ordinal(),
-                                            r,
-                                            xfer,
-                                            true,
-                                            *span,
-                                            dev_bytes,
-                                            lease.id(),
-                                            format!("cmd-{}", cmd.id),
-                                        );
-                                    }
-                                    // Recycle only after the restore
-                                    // copies completed (no use-after-
-                                    // recycle on the staging buffer).
-                                    contexts[dev_idx].stream_synchronize(ctx, stream);
-                                    ctx.tracer()
-                                        .record_analysis(gv_sim::AnalysisRecord::SwapIn {
-                                            time: ctx.now(),
-                                            gvm: h.endpoints.gvm.clone(),
-                                            device: cudas[dev_idx].device().tracer_ordinal(),
-                                            buf: lease.id(),
-                                            bytes: dev_bytes,
-                                        });
-                                    {
-                                        let mut stats = h.stats.lock();
-                                        stats.swap_ins += 1;
-                                        stats.swapped_in_bytes += dev_bytes;
-                                    }
-                                    ml.pool.recycle(ctx.tracer(), lease);
-                                    // The restored bytes belonged to the
-                                    // entry's previous owner; a functional
-                                    // task needs fresh zeroes, same as the
-                                    // resident-recycle path.
-                                    if functional {
-                                        let (zxfer, zspans) = ml.plan(ctx.tracer(), r, dev_bytes);
-                                        let zeros = vec![0u8; dev_bytes as usize];
-                                        for span in &zspans {
-                                            cudas[dev_idx]
-                                                .device()
-                                                .with_memory(|m| {
-                                                    m.write_bytes(
-                                                        ptr.add(span.offset),
-                                                        &zeros[span.offset as usize
-                                                            ..(span.offset + span.len) as usize],
-                                                    )
-                                                })
-                                                .expect("zero swapped-in allocation");
-                                            gv_mem::record_chunk(
-                                                ctx.tracer(),
-                                                cudas[dev_idx].device().tracer_ordinal(),
-                                                r,
-                                                zxfer,
-                                                true,
-                                                *span,
-                                                dev_bytes,
-                                                0,
-                                                String::new(),
-                                            );
-                                        }
-                                    }
-                                    Ok(ptr)
-                                }
-                                Err(e) => {
-                                    // Park the working set back so its
-                                    // bytes are not lost with the lease.
-                                    ml.devcache
-                                        .park_swapped(dev_idx, dev_bytes, lease, ctx.now());
-                                    Err(e)
-                                }
-                            }
-                        }
-                        None => alloc_with_swap(
-                            ctx, &h, &cudas, &contexts, &mut ml, r, dev_idx, stream, numa,
-                            dev_bytes,
-                        ),
-                    };
-                    match base {
-                        Ok(dev_base) => {
-                            let kernels = ranks[r].task.bind_kernels(dev_base);
-                            ranks[r].gpu = Some(RankGpuAlloc { dev_base, kernels });
-                            quota_charge(ctx, &h, &cudas, &mut ranks[r], r, dev_bytes);
-                        }
-                        Err(_) => {
-                            ctx.tracer().fault(ctx.now(), format!("oom-nak:rank{r}"));
-                            {
-                                let mut stats = h.stats.lock();
-                                stats.naks += 1;
-                            }
-                            send_recorded(
-                                ctx,
-                                &mut ranks[r],
-                                Response::nak_reason(req.seq, NakReason::Oom),
-                            );
-                            evict(
-                                ctx,
-                                &h,
-                                &cudas,
-                                &contexts,
-                                &mut ranks,
-                                &mut str_waiting,
-                                &mut ml,
-                                r,
-                            );
-                            finished += 1;
-                            let active = active_count(&ranks);
-                            let groups = scheduler.on_membership(&str_waiting, active);
-                            dispatch_groups(
-                                ctx,
-                                &h,
-                                &contexts,
-                                &mut ranks,
-                                &mut str_waiting,
-                                &mut batch_start,
-                                &mut ml,
-                                groups,
-                            );
-                            continue;
-                        }
-                    }
+            resp = resp.with_desc(desc);
+        }
+        send_recorded(ctx, &mut self.ranks[r], resp);
+    }
+
+    /// `SND`: a lazy GVM first allocates device memory (an OOM becomes a
+    /// NAK and an eviction instead of a wedge), then the input is staged
+    /// — or, on the zero-copy path, validated where the client wrote it.
+    fn on_snd(&mut self, ctx: &mut Ctx, r: usize, req: &Request) {
+        if self.lazy_alloc && self.ranks[r].gpu.is_none() {
+            let Ok(dev_base) = self.alloc_lazy(ctx, r) else {
+                self.nak_evict(ctx, r, req.seq, NakReason::Oom);
+                return;
+            };
+            let rank = &mut self.ranks[r];
+            let kernels = rank.task.bind_kernels(dev_base);
+            rank.gpu = Some(RankGpuAlloc { dev_base, kernels });
+            let bytes = rank.task.device_bytes.max(1);
+            self.quota_charge(ctx, r, bytes);
+        }
+        if self.cfg.mem.zero_copy {
+            self.snd_zero_copy(ctx, r, req);
+        } else {
+            self.snd_staged(ctx, r, req.seq);
+        }
+    }
+
+    /// Lazy device allocation for rank `r`. Allocations parked by earlier
+    /// releases or evictions are reused before touching the device
+    /// allocator (a swapped-out one is restored first), and with swap
+    /// enabled a miss may evict idle parked working sets to host staging
+    /// to make room.
+    fn alloc_lazy(&mut self, ctx: &mut Ctx, r: usize) -> Result<DevicePtr, gv_cuda::CudaError> {
+        let rank = &self.ranks[r];
+        let (dev_idx, bytes) = (rank.dev_idx, rank.task.device_bytes.max(1));
+        let functional = rank.task.is_functional();
+        let ptr = match self.ml.devcache.take(dev_idx, bytes) {
+            None => return self.alloc_with_swap(ctx, r, bytes),
+            Some(CachedAlloc::Resident(ptr)) => ptr,
+            Some(CachedAlloc::Swapped(lease)) => match self.alloc_with_swap(ctx, r, bytes) {
+                Ok(ptr) => {
+                    self.swap_in(ctx, r, ptr, lease);
+                    ptr
                 }
-                if cfg.mem.zero_copy {
-                    // Zero-copy SND: the payload already sits in pinned
-                    // memory (the client wrote it through the lease-backed
-                    // segment), so there is no shm→pinned copy to perform
-                    // — snd_copies/copy_time stay untouched. Validate the
-                    // presented descriptor's generation first: a recycled
-                    // lease means the window now aliases someone else's
-                    // buffer and the SND must be refused.
-                    let ok = req
-                        .desc
-                        .is_some_and(|d| ranks[r].zc_desc == Some(d) && ml.pool.validate(&d));
-                    if ctx.tracer().analysis_enabled() {
-                        let (buf, generation) = req
-                            .desc
-                            .map(|d| (d.segment, d.generation))
-                            .unwrap_or((0, 0));
-                        ctx.tracer()
-                            .record_analysis(gv_sim::AnalysisRecord::DescUse {
-                                time: ctx.now(),
-                                gvm: h.endpoints.gvm.clone(),
-                                rank: r,
-                                buf,
-                                generation,
-                                ok,
-                            });
-                    }
-                    if !ok {
-                        ctx.tracer().fault(ctx.now(), format!("stale-desc:rank{r}"));
-                        h.stats.lock().naks += 1;
-                        send_recorded(
-                            ctx,
-                            &mut ranks[r],
-                            Response::nak_reason(req.seq, NakReason::Stale),
-                        );
-                        continue;
-                    }
-                    let bytes = ranks[r].task.bytes_in_for_round(ranks[r].rounds_done);
-                    if bytes > 0 {
-                        // H2D issues straight from the lease; every span
-                        // is handed to the copy engine now, ahead of the
-                        // kernels on the same in-order stream, so the
-                        // flush skips iteration 0's upload.
-                        let xfer = ml.plan_scratch(ctx.tracer(), r, bytes);
-                        let analysis = ctx.tracer().analysis_enabled();
-                        let rank = &mut ranks[r];
-                        let gpu = rank.gpu.as_ref().expect("SND after allocation");
-                        let lease = rank.zc_lease.as_ref().expect("zero-copy lease");
-                        for span in &ml.spans {
-                            let cmd = contexts[rank.dev_idx]
-                                .memcpy_h2d_async_at(
-                                    ctx,
-                                    rank.stream,
-                                    lease.buffer(),
-                                    span.offset,
-                                    gpu.dev_base.add(span.offset),
-                                    span.len,
-                                )
-                                .expect("GVM zero-copy H2D submit");
-                            let label = if analysis {
-                                format!("cmd-{}", cmd.id)
-                            } else {
-                                String::new()
-                            };
-                            gv_mem::record_chunk(
-                                ctx.tracer(),
-                                cudas[rank.dev_idx].device().tracer_ordinal(),
-                                r,
-                                xfer,
-                                true,
-                                *span,
-                                bytes,
-                                lease.id(),
-                                label,
-                            );
-                        }
-                        rank.h2d_preissued = true;
-                        if ml.spans.len() > 1 {
-                            let mut stats = h.stats.lock();
-                            stats.chunked_transfers += 1;
-                            stats.chunks_submitted += ml.spans.len() as u64;
-                        }
-                    }
-                    send_recorded(ctx, &mut ranks[r], Response::ack(req.seq));
+                Err(e) => {
+                    // Park the working set back so its bytes are not lost
+                    // with the lease.
+                    self.ml
+                        .devcache
+                        .park_swapped(dev_idx, bytes, lease, ctx.now());
+                    return Err(e);
+                }
+            },
+        };
+        // A recycled allocation holds its previous owner's bytes, but
+        // untouched device memory reads as zeroes to a functional task:
+        // restore that.
+        if functional {
+            self.zero_fill(ctx, r, ptr, bytes);
+        }
+        Ok(ptr)
+    }
+
+    /// Restore a swapped-out working set into `ptr` through the chunked
+    /// planner, then return its staging lease to the pool — only after
+    /// the restore copies completed (no use-after-recycle).
+    fn swap_in(&mut self, ctx: &mut Ctx, r: usize, ptr: DevicePtr, lease: StagingLease) {
+        let rank = &self.ranks[r];
+        let (dev_idx, stream, bytes) = (rank.dev_idx, rank.stream, rank.task.device_bytes.max(1));
+        let dma = Dma {
+            rank: r,
+            h2d: true,
+            stream,
+            lease: &lease,
+            dev: ptr,
+            payload: bytes,
+        };
+        self.ml.submit(ctx, &self.contexts[dev_idx], &dma);
+        self.contexts[dev_idx].stream_synchronize(ctx, stream);
+        ctx.tracer()
+            .record_analysis(gv_sim::AnalysisRecord::SwapIn {
+                time: ctx.now(),
+                gvm: self.h.endpoints.gvm.clone(),
+                device: self.cudas[dev_idx].device().tracer_ordinal(),
+                buf: lease.id(),
+                bytes,
+            });
+        {
+            let mut stats = self.h.stats.lock();
+            stats.swap_ins += 1;
+            stats.swapped_in_bytes += bytes;
+        }
+        self.ml.pool.recycle(ctx.tracer(), lease);
+    }
+
+    /// Zero `bytes` of device memory at `ptr` for rank `r`. The writes go
+    /// through the same chunked planner as payload transfers, so the
+    /// staging checker audits their tiling too.
+    fn zero_fill(&mut self, ctx: &mut Ctx, r: usize, ptr: DevicePtr, bytes: u64) {
+        let xfer = self.ml.plan(ctx.tracer(), r, bytes);
+        let zeros = vec![0u8; bytes as usize];
+        let device = self.cudas[self.ranks[r].dev_idx].device();
+        for span in &self.ml.spans {
+            let range = span.offset as usize..(span.offset + span.len) as usize;
+            device
+                .with_memory(|m| m.write_bytes(ptr.add(span.offset), &zeros[range]))
+                .expect("zero recycled device allocation");
+            gv_mem::record_chunk(
+                ctx.tracer(),
+                device.tracer_ordinal(),
+                r,
+                xfer,
+                true,
+                *span,
+                bytes,
+                0,
+                String::new(),
+            );
+        }
+    }
+
+    /// Allocate `bytes` for rank `r`, demand-swapping idle parked working
+    /// sets (LRU-first) out to pooled pinned host staging until the
+    /// allocation fits — when [`GvmConfig::swap`] is on; a plain `malloc`
+    /// otherwise. The requesting rank's (idle) stream carries the D2H
+    /// copies, and each victim's device memory is freed only after its
+    /// copies completed, so no copy ever references freed memory.
+    fn alloc_with_swap(
+        &mut self,
+        ctx: &mut Ctx,
+        r: usize,
+        bytes: u64,
+    ) -> Result<DevicePtr, gv_cuda::CudaError> {
+        let (dev_idx, stream, numa) = {
+            let rank = &self.ranks[r];
+            (rank.dev_idx, rank.stream, rank.numa)
+        };
+        loop {
+            let err = match self.contexts[dev_idx].malloc(bytes) {
+                Ok(ptr) => return Ok(ptr),
+                Err(e) => e,
+            };
+            if !self.cfg.swap {
+                return Err(err);
+            }
+            // Pick the coldest resident parked allocation on this device;
+            // if nothing is parked there is nothing left to swap and the
+            // OOM is final.
+            let Some((vbytes, vptr, vstamp)) = self.ml.devcache.lru_resident(dev_idx) else {
+                return Err(err);
+            };
+            // Stage the victim's bytes into an opaque pool lease through
+            // the chunked planner, then free the device memory and re-park
+            // the entry as swapped with its LRU stamp preserved.
+            // `acquire_on` never blocks, so admission backpressure cannot
+            // deadlock against a swap in progress.
+            let lease = self.ml.pool.acquire_on(ctx.tracer(), vbytes, false, numa);
+            let dma = Dma {
+                rank: r,
+                h2d: false,
+                stream,
+                lease: &lease,
+                dev: vptr,
+                payload: vbytes,
+            };
+            self.ml.submit(ctx, &self.contexts[dev_idx], &dma);
+            self.contexts[dev_idx].stream_synchronize(ctx, stream);
+            let _ = self.cudas[dev_idx].device().free(vptr);
+            ctx.tracer()
+                .record_analysis(gv_sim::AnalysisRecord::SwapOut {
+                    time: ctx.now(),
+                    gvm: self.h.endpoints.gvm.clone(),
+                    device: self.cudas[dev_idx].device().tracer_ordinal(),
+                    buf: lease.id(),
+                    bytes: vbytes,
+                });
+            {
+                let mut stats = self.h.stats.lock();
+                stats.swap_outs += 1;
+                stats.swapped_out_bytes += vbytes;
+            }
+            self.ml
+                .devcache
+                .park_swapped(dev_idx, vbytes, lease, vstamp);
+        }
+    }
+
+    /// Zero-copy `SND`: the payload already sits in pinned memory (the
+    /// client wrote it through the lease-backed segment), so there is no
+    /// shm→pinned copy — snd_copies/copy_time stay untouched. The
+    /// presented descriptor's generation is validated first: a recycled
+    /// lease means the window now aliases someone else's buffer and the
+    /// SND must be refused.
+    fn snd_zero_copy(&mut self, ctx: &mut Ctx, r: usize, req: &Request) {
+        let ok = req
+            .desc
+            .is_some_and(|d| self.ranks[r].zc_desc == Some(d) && self.ml.pool.validate(&d));
+        if ctx.tracer().analysis_enabled() {
+            let (buf, generation) = req
+                .desc
+                .map(|d| (d.segment, d.generation))
+                .unwrap_or((0, 0));
+            ctx.tracer()
+                .record_analysis(gv_sim::AnalysisRecord::DescUse {
+                    time: ctx.now(),
+                    gvm: self.h.endpoints.gvm.clone(),
+                    rank: r,
+                    buf,
+                    generation,
+                    ok,
+                });
+        }
+        if !ok {
+            ctx.tracer().fault(ctx.now(), format!("stale-desc:rank{r}"));
+            self.h.stats.lock().naks += 1;
+            send_recorded(
+                ctx,
+                &mut self.ranks[r],
+                Response::nak_reason(req.seq, NakReason::Stale),
+            );
+            return;
+        }
+        let rank = &self.ranks[r];
+        let bytes = rank.task.bytes_in_for_round(rank.rounds_done);
+        if bytes > 0 {
+            // H2D issues straight from the lease; every span is handed to
+            // the copy engine now, ahead of the kernels on the same
+            // in-order stream, so the flush skips iteration 0's upload.
+            self.submit_spans(ctx, r, true, bytes);
+            self.ranks[r].h2d_preissued = true;
+        }
+        send_recorded(ctx, &mut self.ranks[r], Response::ack(req.seq));
+    }
+
+    /// Staged `SND`: "Copies Data from Virtual Shared Memory to Host
+    /// Pinned Memory" — performed by the GVM, charged to the GVM. Payloads
+    /// at or above the pipeline threshold are split into chunks, each
+    /// handed to the copy engine the moment it is staged, so the H2D of
+    /// chunk i overlaps the shm staging of chunk i+1.
+    fn snd_staged(&mut self, ctx: &mut Ctx, r: usize, seq: u64) {
+        // Steady-state prefetch: a second SND arriving while this rank's
+        // round is still on the device stages next round's input into the
+        // double buffer and pre-issues its H2D behind the in-flight work on
+        // the same in-order stream — iteration overlap across rounds. It
+        // is planned at next round's size, so shaped sessions keep
+        // prefetching.
+        let rank = &mut self.ranks[r];
+        let prefetch = self.ml.mem.pipeline.steady && rank.pinned_in.is_some();
+        let bytes = rank
+            .task
+            .bytes_in_for_round(rank.rounds_done + u32::from(prefetch));
+        if bytes > 0 {
+            let t0 = ctx.now();
+            // Coalescing: chain this lease right after the last one handed
+            // out, so co-flushed ranks' staging leases sit adjacent and the
+            // flush planner can fuse them.
+            let coalesce = self.ml.mem.coalesce.enabled;
+            let slot = if prefetch {
+                &mut rank.pinned_in_next
+            } else {
+                &mut rank.pinned_in
+            };
+            if slot.is_none() {
+                let hint = if coalesce { self.ml.chain_next } else { None };
+                let functional = rank.task.is_functional();
+                let lease =
+                    self.ml
+                        .pool
+                        .acquire_at(ctx.tracer(), bytes, functional, rank.numa, hint);
+                if coalesce {
+                    self.ml.chain_next = Some(lease.place_addr() + lease.capacity());
+                }
+                *slot = Some(lease);
+            }
+            let xfer = self.ml.plan(ctx.tracer(), r, bytes);
+            let chunked = self.ml.spans.len() > 1;
+            let rank = &self.ranks[r];
+            let dma = Dma {
+                rank: r,
+                h2d: true,
+                stream: rank.stream,
+                lease: if prefetch {
+                    rank.pinned_in_next.as_ref()
+                } else {
+                    rank.pinned_in.as_ref()
+                }
+                .expect("pinned input leased above"),
+                dev: rank.gpu.as_ref().expect("SND after allocation").dev_base,
+                payload: bytes,
+            };
+            let cc = &self.contexts[rank.dev_idx];
+            let mut stage_ns = 0u64;
+            for span in &self.ml.spans {
+                let s0 = ctx.now();
+                gv_mem::stage_span(ctx, &rank.shm, dma.lease.buffer(), *span, true)
+                    .expect("SND staging");
+                stage_ns += ctx.now().duration_since(s0).as_nanos();
+                // Chunked transfers hand every span to the copy engine as
+                // it is staged; prefetched rounds hand over even a single
+                // span (the whole point is getting the H2D in before the
+                // round boundary).
+                dma.span(ctx, cc, xfer, *span, chunked || prefetch);
+            }
+            let spans = self.ml.spans.len() as u64;
+            // Feed the measured staging latency back into the adaptive
+            // model.
+            self.ml.chooser.observe_stage(bytes, stage_ns);
+            let rank = &mut self.ranks[r];
+            if prefetch {
+                rank.h2d_preissued_next = true;
+            } else {
+                rank.h2d_preissued = chunked;
+            }
+            let mut stats = self.h.stats.lock();
+            stats.snd_copies += 1;
+            stats.copy_time += ctx.now().duration_since(t0);
+            if prefetch {
+                stats.steady_prefetches += 1;
+            }
+            if chunked {
+                stats.chunked_transfers += 1;
+                stats.chunks_submitted += spans;
+            }
+        }
+        send_recorded(ctx, &mut self.ranks[r], Response::ack(seq));
+    }
+
+    /// `STR`: "Buffers the STR message … Barrier to synchronize STR from
+    /// all processes", then flush per the policy. The ACK is recorded at
+    /// flush time (last_resp stays None until then, which is what makes
+    /// retried STRs safe). A rank with nothing to run yet — no device
+    /// allocation, or a staged input never sent — breaks the stage order
+    /// and is refused.
+    fn on_str(&mut self, ctx: &mut Ctx, r: usize, seq: u64) {
+        let rank = &self.ranks[r];
+        let unsent_input = !self.cfg.mem.zero_copy
+            && rank.task.bytes_in_for_round(rank.rounds_done) > 0
+            && rank.pinned_in.is_none();
+        if rank.gpu.is_none() || unsent_input {
+            self.nak_evict(ctx, r, seq, NakReason::Protocol);
+            return;
+        }
+        self.str_waiting.push(r);
+        self.batch_start.get_or_insert(ctx.now());
+        if let Some(ft) = &self.cfg.fault_tolerance {
+            self.barrier_deadline
+                .get_or_insert(ctx.now() + ft.barrier_timeout);
+        }
+        let depth = self.str_waiting.len() as u64;
+        {
+            let mut stats = self.h.stats.lock();
+            stats.queue_depth_samples += 1;
+            stats.queue_depth_sum += depth;
+            stats.queue_depth_max = stats.queue_depth_max.max(depth);
+        }
+        ctx.tracer()
+            .instant(ctx.now(), "sched", format!("queue-depth:{depth}"));
+        let active = self.active_count();
+        let groups = self.scheduler.on_str(&self.str_waiting, active);
+        self.dispatch(ctx, groups);
+    }
+
+    /// `STP`: "If status(stream)=0 sends WAIT, otherwise sends ACK". In
+    /// steady mode the stream tail may already include next round's
+    /// pre-issued H2D, so completion is judged at the round boundary
+    /// recorded at flush, not the raw tail.
+    fn on_stp(&mut self, ctx: &mut Ctx, r: usize, seq: u64) {
+        let rank = &mut self.ranks[r];
+        let done = match &rank.round_tail {
+            Some(tail) => tail.is_done(),
+            None => self.contexts[rank.dev_idx].stream_query(rank.stream),
+        };
+        let resp = if done {
+            Response::ack(seq)
+        } else {
+            self.h.stats.lock().stp_waits += 1;
+            Response::wait(seq)
+        };
+        send_recorded(ctx, rank, resp);
+    }
+
+    /// `RCV`: "Copies Result Data from Host Pinned Memory to Virtual Shared
+    /// Memory" — the same span-wise staging path as SND, in the other
+    /// direction. On the zero-copy path there is nothing to move: the
+    /// flush's final-iteration D2H already landed the results in the lease
+    /// that *is* the segment, so the ACK alone tells the client to read
+    /// them out (rcv_copies stays untouched). A staged RCV with no flushed
+    /// output to copy breaks the stage order and is refused.
+    fn on_rcv(&mut self, ctx: &mut Ctx, r: usize, seq: u64) {
+        let bytes = self.ranks[r].task.bytes_out;
+        if bytes > 0 && !self.cfg.mem.zero_copy {
+            let rank = &self.ranks[r];
+            let Some(lease) = rank.pinned_out.as_ref() else {
+                self.nak_evict(ctx, r, seq, NakReason::Protocol);
+                return;
+            };
+            let t0 = ctx.now();
+            self.ml.mem.pipeline.plan_into(bytes, &mut self.ml.spans);
+            for span in &self.ml.spans {
+                gv_mem::stage_span(ctx, &rank.shm, lease.buffer(), *span, false)
+                    .expect("RCV staging");
+            }
+            let mut stats = self.h.stats.lock();
+            stats.rcv_copies += 1;
+            stats.copy_time += ctx.now().duration_since(t0);
+        }
+        // End of the rank's round: both staging leases go back to the pool
+        // (this round's copies are done — the client's STP was ACKed at the
+        // round boundary before it sent RCV — so no copy still references
+        // them; a prefetched next round's H2D reads `pinned_in_next`, which
+        // is promoted, never recycled, here).
+        let rank = &mut self.ranks[r];
+        for lease in [rank.pinned_in.take(), rank.pinned_out.take()]
+            .into_iter()
+            .flatten()
+        {
+            self.ml.pool.recycle(ctx.tracer(), lease);
+        }
+        rank.pinned_in = rank.pinned_in_next.take();
+        rank.h2d_preissued = std::mem::take(&mut rank.h2d_preissued_next);
+        rank.round_tail = None;
+        rank.rounds_done += 1;
+        send_recorded(ctx, rank, Response::ack(seq));
+    }
+
+    /// `RLS`: release the session and re-evaluate the barrier the other
+    /// ranks may be waiting behind (in every mode — the seed only
+    /// re-evaluated under fault tolerance, which hung non-uniform
+    /// fault-free groups).
+    fn on_rls(&mut self, ctx: &mut Ctx, r: usize, seq: u64) {
+        self.ranks[r].state = RankState::Released;
+        self.reclaim(ctx, r, false);
+        send_recorded(ctx, &mut self.ranks[r], Response::ack(seq));
+        self.reschedule(ctx);
+    }
+
+    /// Refuse rank `r`'s request `seq` for `reason`, evict the rank, and
+    /// let the scheduler re-arm the barrier without it — the NAK is final,
+    /// so a barrier still counting the rank would wait forever.
+    fn nak_evict(&mut self, ctx: &mut Ctx, r: usize, seq: u64, reason: NakReason) {
+        let tag = match reason {
+            NakReason::OverQuota => "quota",
+            other => other.label(),
+        };
+        ctx.tracer().fault(ctx.now(), format!("{tag}-nak:rank{r}"));
+        {
+            let mut stats = self.h.stats.lock();
+            stats.naks += 1;
+            if reason == NakReason::OverQuota {
+                stats.quota_naks += 1;
+            }
+        }
+        send_recorded(ctx, &mut self.ranks[r], Response::nak_reason(seq, reason));
+        self.evict(ctx, r);
+        self.reschedule(ctx);
+    }
+
+    /// Membership shrank (release or eviction): the barrier other ranks
+    /// wait behind may now be satisfied at the reduced width.
+    fn reschedule(&mut self, ctx: &mut Ctx) {
+        let active = self.active_count();
+        let groups = self.scheduler.on_membership(&self.str_waiting, active);
+        self.dispatch(ctx, groups);
+    }
+
+    /// Evict `r`: reclaim its resources, close and unlink its response
+    /// queue, unlink its shared-memory segment, and drop it from the
+    /// barrier — an implicit `RLS` performed by the GVM on the rank's
+    /// behalf.
+    fn evict(&mut self, ctx: &mut Ctx, r: usize) {
+        self.ranks[r].state = RankState::Evicted;
+        self.reclaim(ctx, r, true);
+        self.ranks[r].resp.close(ctx);
+        let _ = self.h.resp_mq.unlink(&self.h.endpoints.response_queue(r));
+        let _ = self.h.shm.unlink(&self.h.endpoints.shm(r));
+        self.str_waiting.retain(|&w| w != r);
+        ctx.tracer().fault(ctx.now(), format!("evict:rank{r}"));
+        ctx.tracer()
+            .record_analysis(gv_sim::AnalysisRecord::ProtoEvict {
+                time: ctx.now(),
+                gvm: self.h.endpoints.gvm.clone(),
+                rank: r,
+            });
+        self.h.stats.lock().evictions += 1;
+    }
+
+    /// Take back what rank `r` holds at release or eviction. Buffers are
+    /// recycled (device allocation into the cache, staging leases back to
+    /// the pool) only when the rank's stream is idle; with work in flight
+    /// an evicted rank's allocation is freed for real and the leases are
+    /// dropped un-recycled (the zero-copy lease retired), so no other rank
+    /// can ever be handed a buffer an in-flight copy still references.
+    /// Either way the client's descriptor goes stale and the quota charge
+    /// is settled.
+    ///
+    /// A released rank keeps its allocation to shutdown (the seed
+    /// behavior) unless allocation is lazy: then it is parked in the cache
+    /// the eviction path feeds, so a later admission of the same shape
+    /// reuses it and demand-swap has idle working sets to evict.
+    fn reclaim(&mut self, ctx: &mut Ctx, r: usize, evicting: bool) {
+        let rank = &mut self.ranks[r];
+        let idle = self.contexts[rank.dev_idx].stream_query(rank.stream);
+        let park = idle && (evicting || self.lazy_alloc);
+        if park || evicting {
+            if let Some(gpu) = rank.gpu.take() {
+                if park {
+                    let bytes = rank.task.device_bytes.max(1);
+                    self.ml
+                        .devcache
+                        .put(rank.dev_idx, bytes, gpu.dev_base, ctx.now());
+                } else {
+                    let _ = self.cudas[rank.dev_idx].device().free(gpu.dev_base);
+                }
+            }
+        }
+        self.quota_credit_all(ctx, r);
+        let rank = &mut self.ranks[r];
+        for lease in [
+            rank.pinned_in.take(),
+            rank.pinned_in_next.take(),
+            rank.pinned_out.take(),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            if idle {
+                self.ml.pool.recycle(ctx.tracer(), lease);
+            }
+        }
+        if let Some(l) = rank.zc_lease.take() {
+            rank.zc_desc = None;
+            if idle {
+                self.ml.pool.recycle(ctx.tracer(), l);
+            } else {
+                self.ml.pool.retire(ctx.tracer(), l);
+            }
+        }
+        rank.round_tail = None;
+    }
+
+    /// Declare rank `r`'s quota and device demand to the analysis stream;
+    /// returns whether the quota admits the demand.
+    fn declare_quota(&self, ctx: &Ctx, r: usize) -> bool {
+        let rank = &self.ranks[r];
+        let demand = rank.task.device_bytes.max(1);
+        let cap = self.cudas[rank.dev_idx]
+            .device()
+            .with_memory(|m| m.capacity());
+        let quota = self.cfg.quota_for(r);
+        ctx.tracer()
+            .record_analysis(gv_sim::AnalysisRecord::QuotaSet {
+                time: ctx.now(),
+                gvm: self.h.endpoints.gvm.clone(),
+                rank: r,
+                quota: quota.resolve(cap).unwrap_or(0),
+                demand,
+            });
+        quota.admits(demand, cap)
+    }
+
+    /// Charge `bytes` against rank `r`'s quota meter, the device's
+    /// commitment ledger, and the analysis stream. No-op when quota
+    /// accounting is off.
+    fn quota_charge(&mut self, ctx: &Ctx, r: usize, bytes: u64) {
+        if self.cfg.quotas.is_none() {
+            return;
+        }
+        let rank = &mut self.ranks[r];
+        rank.charged += bytes;
+        self.cudas[rank.dev_idx]
+            .device()
+            .with_memory(|m| m.charge(bytes));
+        ctx.tracer()
+            .record_analysis(gv_sim::AnalysisRecord::QuotaCharge {
+                time: ctx.now(),
+                gvm: self.h.endpoints.gvm.clone(),
+                rank: r,
+                bytes,
+                charged: rank.charged,
+            });
+    }
+
+    /// Release everything rank `r` still has charged against its quota (at
+    /// `RLS`, eviction, or GVM shutdown). No-op when nothing is charged.
+    fn quota_credit_all(&mut self, ctx: &Ctx, r: usize) {
+        let rank = &mut self.ranks[r];
+        if rank.charged == 0 {
+            return;
+        }
+        let bytes = std::mem::take(&mut rank.charged);
+        self.cudas[rank.dev_idx]
+            .device()
+            .with_memory(|m| m.credit(bytes));
+        ctx.tracer()
+            .record_analysis(gv_sim::AnalysisRecord::QuotaCredit {
+                time: ctx.now(),
+                gvm: self.h.endpoints.gvm.clone(),
+                rank: r,
+                bytes,
+                charged: 0,
+            });
+    }
+
+    /// Number of ranks still being served.
+    fn active_count(&self) -> usize {
+        self.ranks
+            .iter()
+            .filter(|k| k.state == RankState::Active)
+            .count()
+    }
+
+    /// Execute the scheduler's decision: flush each returned group in
+    /// order. Resets the batch window once the backlog drains.
+    fn dispatch(&mut self, ctx: &mut Ctx, groups: Vec<Dispatch>) {
+        for group in groups {
+            if !group.is_empty() {
+                self.flush(ctx, &group);
+            }
+        }
+        if self.str_waiting.is_empty() {
+            self.batch_start = None;
+        }
+    }
+
+    /// Flush one group's streams (in the scheduler's submission order),
+    /// then ACK the covered ranks in `STR` arrival order and drop them from
+    /// the barrier.
+    fn flush(&mut self, ctx: &mut Ctx, group: &[usize]) {
+        let t0 = ctx.now();
+        let active = self.active_count();
+        // The coalescing planner only takes over multi-rank flushes on the
+        // overlapped (non-serial) schedule, and never in a swapping GVM —
+        // demand-swap can relocate lease windows mid-session, so fusing
+        // across it is forbidden (the gv-analyze coalesce checker enforces
+        // this over traces). Everything else goes through the per-rank
+        // path, which stays bit-identical to the pre-coalescing schedule.
+        let cfg = &self.cfg;
+        let coalesce =
+            cfg.mem.coalesce.enabled && group.len() >= 2 && !cfg.serial_flush && !cfg.swap;
+        let dma_ops = if coalesce {
+            self.flush_coalesced(ctx, group)
+        } else {
+            let mut dma_ops = 0u64;
+            for &r in group {
+                dma_ops += self.flush_rank(ctx, r);
+                if self.cfg.serial_flush {
+                    let rank = &self.ranks[r];
+                    self.contexts[rank.dev_idx].stream_synchronize(ctx, rank.stream);
+                }
+            }
+            dma_ops
+        };
+        // The queueing delay this dispatch imposed: how long the oldest
+        // pending STR sat behind the policy's trigger.
+        let gap = self
+            .batch_start
+            .map(|b| t0.duration_since(b))
+            .unwrap_or(SimDuration::ZERO);
+        {
+            let mut stats = self.h.stats.lock();
+            stats.flushes += 1;
+            stats.submit_time += ctx.now().duration_since(t0);
+            stats.idle_gap += gap;
+            stats.flush_dma_ops += dma_ops;
+            if group.len() < active {
+                stats.partial_flushes += 1;
+            }
+        }
+        if gap > SimDuration::ZERO {
+            ctx.tracer()
+                .instant(t0, "sched", format!("idle-gap:{}ns", gap.as_nanos()));
+        }
+        // "Barrier to synchronize ACK to all processes" — arrival order, as
+        // in the paper's joint flush, restricted to the covered ranks. The
+        // order is assembled into a reusable scratch so steady-state
+        // flushes do not allocate.
+        let ack = &mut self.ml.ack;
+        ack.clear();
+        ack.extend(
+            self.str_waiting
+                .iter()
+                .filter(|w| group.contains(w))
+                .copied(),
+        );
+        if ctx.tracer().analysis_enabled() {
+            ctx.tracer()
+                .record_analysis(gv_sim::AnalysisRecord::ProtoFlush {
+                    time: ctx.now(),
+                    gvm: self.h.endpoints.gvm.clone(),
+                    ranks: ack.clone(),
+                });
+        }
+        // Descriptor-passing batches the flush ACKs: the mq latency is
+        // charged once per flush instead of once per rank, then every
+        // covered rank's ACK is enqueued prepaid (message faults still
+        // apply per queue). This is the "one mq round-trip per scheduler
+        // flush" half of the zero-copy overhead cut.
+        let zc = self.cfg.mem.zero_copy;
+        if let (true, Some(&first)) = (zc, ack.first()) {
+            self.ranks[first].resp.charge_latency(ctx);
+        }
+        for &rr in ack.iter() {
+            let rank = &mut self.ranks[rr];
+            rank.last_resp = Some(ResponseKind::Ack);
+            let resp = Response::ack(rank.last_seq);
+            if zc {
+                let _ = rank.resp.send_prepaid(ctx, resp);
+            } else {
+                let _ = rank.resp.send(ctx, resp);
+            }
+        }
+        self.str_waiting.retain(|w| !group.contains(w));
+    }
+
+    /// Enqueue one rank's complete pipeline into its stream: per iteration,
+    /// async H2D from pinned, the kernel sequence, async D2H into pinned.
+    /// Returns the DMA submissions made.
+    ///
+    /// When `SND` already pre-issued the input payload, the first
+    /// iteration's H2D is skipped — it is already queued ahead of the
+    /// kernels in the same in-order stream. Zero-copy needs no
+    /// `pinned_out`: results drain straight into the rank's lease-backed
+    /// segment on the final iteration.
+    fn flush_rank(&mut self, ctx: &mut Ctx, r: usize) -> u64 {
+        let zc = self.cfg.mem.zero_copy;
+        let rank = &mut self.ranks[r];
+        let (bytes_in, bytes_out, iterations) = (
+            rank.task.bytes_in_for_round(rank.rounds_done),
+            rank.task.bytes_out,
+            rank.task.iterations,
+        );
+        if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
+            let functional = rank.task.is_functional();
+            rank.pinned_out = Some(self.ml.pool.acquire_on(
+                ctx.tracer(),
+                bytes_out,
+                functional,
+                rank.numa,
+            ));
+        }
+        let preissued = std::mem::take(&mut rank.h2d_preissued);
+        let mut dma_ops = 0u64;
+        for it in 0..iterations {
+            if bytes_in > 0 && !(it == 0 && preissued) {
+                let k = self.ml.chooser.choose(bytes_in, &self.ml.mem.pipeline);
+                dma_ops += self.submit_h2d(ctx, r, bytes_in, k);
+            }
+            let rank = &self.ranks[r];
+            let cc = &self.contexts[rank.dev_idx];
+            let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
+            for k in &gpu.kernels {
+                cc.launch(ctx, rank.stream, k.clone()).expect("GVM launch");
+            }
+            // Zero-copy drains results only on the final iteration: one
+            // lease window serves both directions, and an intermediate D2H
+            // would clobber the input region that later iterations'
+            // re-loads still read. D2H never mutates device state, so
+            // skipping the intermediate drains leaves the final output
+            // bit-identical.
+            if bytes_out > 0 && (!zc || it + 1 == iterations) {
+                dma_ops += self.submit_d2h(ctx, r, bytes_out);
+            }
+        }
+        // Steady mode pins this round's completion point now, before any
+        // prefetched next-round H2D lands on the stream and moves its tail.
+        if self.cfg.mem.pipeline.steady {
+            let rank = &mut self.ranks[r];
+            rank.round_tail = self.contexts[rank.dev_idx].stream_tail(rank.stream);
+        }
+        dma_ops
+    }
+
+    /// Upload rank `r`'s `bytes` of input at flush: as `k` planned spans
+    /// when `k > 1` — tiles release the shared H2D engine between spans,
+    /// so other ranks' copies interleave instead of waiting out one
+    /// monolithic transfer — else as one monolithic copy. Returns the DMA
+    /// submissions made.
+    fn submit_h2d(&mut self, ctx: &mut Ctx, r: usize, bytes: u64, k: u64) -> u64 {
+        if k > 1 {
+            return self.submit_spans(ctx, r, true, bytes);
+        }
+        let rank = &self.ranks[r];
+        let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
+        let lease = xfer_lease(rank, self.cfg.mem.zero_copy, true);
+        self.contexts[rank.dev_idx]
+            .memcpy_h2d_async(ctx, rank.stream, lease.buffer(), gpu.dev_base, bytes)
+            .expect("GVM H2D submit");
+        1
+    }
+
+    /// Drain rank `r`'s `bytes` of output as planned spans, so early
+    /// chunks overlap compute still queued on other ranks' streams.
+    /// Returns the DMA submissions made.
+    fn submit_d2h(&mut self, ctx: &mut Ctx, r: usize, bytes: u64) -> u64 {
+        self.submit_spans(ctx, r, false, bytes)
+    }
+
+    /// Plan rank `r`'s `bytes` in one direction, issue every span from or
+    /// into the rank's staging lease, and count a split transfer in the
+    /// chunk stats. Returns the span count.
+    fn submit_spans(&mut self, ctx: &mut Ctx, r: usize, h2d: bool, bytes: u64) -> u64 {
+        let rank = &self.ranks[r];
+        let dev_base = rank.gpu.as_ref().expect("rank allocated").dev_base;
+        let dma = Dma {
+            rank: r,
+            h2d,
+            stream: rank.stream,
+            lease: xfer_lease(rank, self.cfg.mem.zero_copy, h2d),
+            dev: if h2d {
+                dev_base
+            } else {
+                dev_base.add(rank.task.d2h_offset)
+            },
+            payload: bytes,
+        };
+        let spans = self.ml.submit(ctx, &self.contexts[rank.dev_idx], &dma);
+        if spans > 1 {
+            let mut stats = self.h.stats.lock();
+            stats.chunked_transfers += 1;
+            stats.chunks_submitted += spans;
+        }
+        spans
+    }
+
+    /// The coalescing flush: instead of enqueueing each rank's complete
+    /// pipeline in turn, the group is submitted *wave-per-iteration* — all
+    /// ranks' H2D transfers, then all their kernel launches, then all their
+    /// D2H drains, per iteration. Per-stream command order is unchanged
+    /// (each rank still sees H2D → kernels → D2H on its own in-order
+    /// stream), so functional outputs are bitwise identical to the per-rank
+    /// path; only the submission schedule differs (see
+    /// [`dma_wave`](Self::dma_wave) and [`launch_wave`](Self::launch_wave)).
+    /// Returns the DMA submissions made.
+    fn flush_coalesced(&mut self, ctx: &mut Ctx, group: &[usize]) -> u64 {
+        let zc = self.cfg.mem.zero_copy;
+        // Output leases are acquired upfront, place-chained, so the D2H
+        // waves see adjacent regions; pre-issued iteration-0 H2Ds are taken
+        // now.
+        let mut preissued = vec![false; group.len()];
+        let mut chain: Option<u64> = None;
+        for (gi, &r) in group.iter().enumerate() {
+            let rank = &mut self.ranks[r];
+            let (bytes_out, functional) = (rank.task.bytes_out, rank.task.is_functional());
+            if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
+                let lease =
+                    self.ml
+                        .pool
+                        .acquire_at(ctx.tracer(), bytes_out, functional, rank.numa, chain);
+                chain = Some(lease.place_addr() + lease.capacity());
+                rank.pinned_out = Some(lease);
+            } else if let Some(l) = rank.pinned_out.as_ref() {
+                chain = Some(l.place_addr() + l.capacity());
+            }
+            preissued[gi] = std::mem::take(&mut rank.h2d_preissued);
+        }
+        let max_iters = group
+            .iter()
+            .map(|&r| self.ranks[r].task.iterations)
+            .max()
+            .unwrap_or(0);
+        let mut tally = WaveTally::default();
+        for it in 0..max_iters {
+            self.dma_wave(ctx, group, it, true, &preissued, &mut tally);
+            self.launch_wave(ctx, group, it, &mut tally);
+            self.dma_wave(ctx, group, it, false, &preissued, &mut tally);
+        }
+        if self.cfg.mem.pipeline.steady {
+            for &r in group {
+                let rank = &mut self.ranks[r];
+                rank.round_tail = self.contexts[rank.dev_idx].stream_tail(rank.stream);
+            }
+        }
+        let mut stats = self.h.stats.lock();
+        stats.fused_dma_groups += tally.fused_groups;
+        stats.fused_dma_subs += tally.fused_subs;
+        stats.batched_launch_waves += tally.launch_waves;
+        stats.batched_launches += tally.batched_launches;
+        tally.dma_ops
+    }
+
+    /// One direction's DMA wave of a coalesced flush at iteration `it`.
+    /// Per device, runs of members whose staging leases are adjacent in
+    /// host memory ([`CoalescePlan`]) go down as one fused DMA submission —
+    /// the copy engine sweeps the combined range and every sub-op after the
+    /// first elides the per-op setup latency — with an
+    /// [`AnalysisRecord::CoalesceOp`](gv_sim::AnalysisRecord::CoalesceOp)
+    /// manifest for the gv-analyze coalesce checker; singletons go through
+    /// the per-rank submitters. Staged outputs drain every iteration,
+    /// zero-copy outputs only on the final one.
+    fn dma_wave(
+        &mut self,
+        ctx: &mut Ctx,
+        group: &[usize],
+        it: u32,
+        h2d: bool,
+        preissued: &[bool],
+        tally: &mut WaveTally,
+    ) {
+        let zc = self.cfg.mem.zero_copy;
+        let quota_on = self.cfg.quotas.is_some();
+        let mut by_dev: Vec<(usize, Vec<WaveXfer>)> = Vec::new();
+        for (gi, &r) in group.iter().enumerate() {
+            let rank = &self.ranks[r];
+            let task = &rank.task;
+            let (bytes, skip) = if h2d {
+                let bytes = task.bytes_in_for_round(rank.rounds_done);
+                (bytes, it == 0 && preissued[gi])
+            } else {
+                (task.bytes_out, zc && it + 1 != task.iterations)
+            };
+            if it >= task.iterations || bytes == 0 || skip {
+                continue;
+            }
+            let x = WaveXfer {
+                r,
+                bytes,
+                k: self.ml.chooser.choose(bytes, &self.ml.mem.pipeline),
+            };
+            match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
+                Some((_, v)) => v.push(x),
+                None => by_dev.push((rank.dev_idx, vec![x])),
+            }
+        }
+        for (dev_idx, xfers) in &by_dev {
+            let members: Vec<CoalesceMember> = xfers
+                .iter()
+                .map(|x| {
+                    let rank = &self.ranks[x.r];
+                    let eligible = x.k == 1 && (!quota_on || rank.charged > 0);
+                    CoalesceMember::from_lease(x.r, x.bytes, xfer_lease(rank, zc, h2d), eligible)
+                })
+                .collect();
+            for run in &CoalescePlan::plan(&self.cfg.mem.coalesce, &members).runs {
+                if let [i] = run[..] {
+                    let x = &xfers[i];
+                    tally.dma_ops += if h2d {
+                        self.submit_h2d(ctx, x.r, x.bytes, x.k)
+                    } else {
+                        self.submit_d2h(ctx, x.r, x.bytes)
+                    };
                     continue;
                 }
-                // "Copies Data from Virtual Shared Memory to Host Pinned
-                // Memory" — performed by the GVM, charged to the GVM.
-                // Payloads at or above the pipeline threshold are split
-                // into chunks, each handed to the copy engine the moment
-                // it is staged, so the H2D of chunk i overlaps the shm
-                // staging of chunk i+1.
-                let functional = ranks[r].task.is_functional();
-                // First-round-only ablation: steady-state rounds fall
-                // back to serial whole-payload staging with the H2D
-                // deferred to flush (the pre-PR schedule the ROADMAP
-                // documented; kept as the sweep baseline).
-                let ablate = ml.mem.pipeline.first_round_only && ranks[r].rounds_done > 0;
-                // Steady-state prefetch: a second SND arriving while
-                // this rank's round is still on the device stages next
-                // round's input into the double buffer and pre-issues
-                // its H2D behind the in-flight work on the same
-                // in-order stream — iteration overlap across rounds.
-                let prefetch = ml.mem.pipeline.steady && !ablate && ranks[r].pinned_in.is_some();
-                // A prefetched SND stages *next* round's input, so shaped
-                // sessions re-plan the double buffer at next round's size
-                // instead of falling back to serial.
-                let bytes = ranks[r]
-                    .task
-                    .bytes_in_for_round(ranks[r].rounds_done + u32::from(prefetch));
-                if bytes > 0 {
-                    let t0 = ctx.now();
-                    // Coalescing: chain this lease right after the last
-                    // one handed out, so co-flushed ranks' staging leases
-                    // sit adjacent and the flush planner can fuse them.
-                    let hint = if ml.mem.coalesce.enabled {
-                        ml.chain_next
-                    } else {
-                        None
-                    };
-                    let mut chain = ml.chain_next;
-                    if prefetch {
-                        if ranks[r].pinned_in_next.is_none() {
-                            let numa = ranks[r].numa;
-                            let lease =
-                                ml.pool
-                                    .acquire_at(ctx.tracer(), bytes, functional, numa, hint);
-                            chain = Some(lease.place_addr() + lease.capacity());
-                            ranks[r].pinned_in_next = Some(lease);
-                        }
-                    } else if ranks[r].pinned_in.is_none() {
-                        let numa = ranks[r].numa;
-                        let lease = ml
-                            .pool
-                            .acquire_at(ctx.tracer(), bytes, functional, numa, hint);
-                        chain = Some(lease.place_addr() + lease.capacity());
-                        ranks[r].pinned_in = Some(lease);
-                    }
-                    if ml.mem.coalesce.enabled {
-                        ml.chain_next = chain;
-                    }
-                    let (xfer, spans) = if ablate {
-                        ml.plan_k(ctx.tracer(), r, bytes, 1)
-                    } else {
-                        ml.plan(ctx.tracer(), r, bytes)
-                    };
-                    let chunked = spans.len() > 1;
-                    let mut stage_ns = 0u64;
-                    for span in &spans {
-                        let rank = &mut ranks[r];
-                        let lease = if prefetch {
-                            rank.pinned_in_next.as_ref()
-                        } else {
-                            rank.pinned_in.as_ref()
-                        }
-                        .expect("pinned input leased above");
-                        let s0 = ctx.now();
-                        gv_mem::stage_span(ctx, &rank.shm, lease.buffer(), *span, true)
-                            .expect("SND staging");
-                        stage_ns += ctx.now().duration_since(s0).as_nanos();
-                        // Chunked transfers hand every span to the copy
-                        // engine as it is staged; prefetched rounds hand
-                        // over even a single span (the whole point is
-                        // getting the H2D in before the round boundary).
-                        let label = if chunked || prefetch {
-                            let gpu = rank.gpu.as_ref().expect("SND after allocation");
-                            let cmd = contexts[rank.dev_idx]
-                                .memcpy_h2d_async_at(
-                                    ctx,
-                                    rank.stream,
-                                    lease.buffer(),
-                                    span.offset,
-                                    gpu.dev_base.add(span.offset),
-                                    span.len,
-                                )
-                                .expect("GVM chunked H2D submit");
-                            format!("cmd-{}", cmd.id)
-                        } else {
-                            String::new()
-                        };
-                        gv_mem::record_chunk(
-                            ctx.tracer(),
-                            cudas[rank.dev_idx].device().tracer_ordinal(),
-                            r,
-                            xfer,
-                            true,
-                            *span,
-                            bytes,
-                            lease.id(),
-                            label,
-                        );
-                    }
-                    // Feed the measured staging latency back into the
-                    // adaptive model.
-                    ml.chooser.observe_stage(bytes, stage_ns);
-                    if prefetch {
-                        ranks[r].h2d_preissued_next = true;
-                    } else {
-                        ranks[r].h2d_preissued = chunked;
-                    }
-                    let mut stats = h.stats.lock();
-                    stats.snd_copies += 1;
-                    stats.copy_time += ctx.now().duration_since(t0);
-                    if prefetch {
-                        stats.steady_prefetches += 1;
-                    }
-                    if chunked {
-                        stats.chunked_transfers += 1;
-                        stats.chunks_submitted += spans.len() as u64;
-                    }
-                }
-                send_recorded(ctx, &mut ranks[r], Response::ack(req.seq));
-            }
-            RequestKind::Str => {
-                // "Buffers the STR message … Barrier to synchronize STR
-                // from all processes", then flush per the policy. The ACK
-                // is recorded at flush time (last_resp stays None until
-                // then, which is what makes retried STRs safe).
-                str_waiting.push(r);
-                batch_start.get_or_insert(ctx.now());
-                if let Some(ft) = &ft {
-                    barrier_deadline.get_or_insert(ctx.now() + ft.barrier_timeout);
-                }
-                {
-                    let depth = str_waiting.len() as u64;
-                    let mut stats = h.stats.lock();
-                    stats.queue_depth_samples += 1;
-                    stats.queue_depth_sum += depth;
-                    stats.queue_depth_max = stats.queue_depth_max.max(depth);
-                }
-                ctx.tracer().instant(
-                    ctx.now(),
-                    "sched",
-                    format!("queue-depth:{}", str_waiting.len()),
-                );
-                let active = active_count(&ranks);
-                let groups = scheduler.on_str(&str_waiting, active);
-                dispatch_groups(
-                    ctx,
-                    &h,
-                    &contexts,
-                    &mut ranks,
-                    &mut str_waiting,
-                    &mut batch_start,
-                    &mut ml,
-                    groups,
-                );
-            }
-            RequestKind::Stp => {
-                // "If status(stream)=0 sends WAIT, otherwise sends ACK".
-                // In steady mode the stream tail may already include next
-                // round's pre-issued H2D, so completion is judged at the
-                // round boundary recorded at flush, not the raw tail.
-                let done = match &ranks[r].round_tail {
-                    Some(tail) => tail.is_done(),
-                    None => contexts[ranks[r].dev_idx].stream_query(ranks[r].stream),
-                };
-                if !done {
-                    h.stats.lock().stp_waits += 1;
-                }
-                let resp = if done {
-                    Response::ack(req.seq)
-                } else {
-                    Response::wait(req.seq)
-                };
-                send_recorded(ctx, &mut ranks[r], resp);
-            }
-            RequestKind::Rcv => {
-                // "Copies Result Data from Host Pinned Memory to Virtual
-                // Shared Memory" — the same span-wise staging path as SND,
-                // in the other direction. On the zero-copy path there is
-                // nothing to move: the flush's final-iteration D2H already
-                // landed the results in the lease that *is* the segment,
-                // so the ACK alone tells the client to read them out
-                // (rcv_copies stays untouched).
-                let bytes = ranks[r].task.bytes_out;
-                if bytes > 0 && !cfg.mem.zero_copy {
-                    let t0 = ctx.now();
-                    let rank = &mut ranks[r];
-                    let lease = rank
-                        .pinned_out
+                let cc = &self.contexts[*dev_idx];
+                let rank_of = |i: usize| &self.ranks[xfers[i].r];
+                let dev_base = |i: usize| {
+                    rank_of(i)
+                        .gpu
                         .as_ref()
-                        .expect("RCV after flush leased pinned_out");
-                    for span in ml.mem.pipeline.plan(bytes) {
-                        gv_mem::stage_span(ctx, &rank.shm, lease.buffer(), span, false)
-                            .expect("RCV staging");
-                    }
-                    let mut stats = h.stats.lock();
-                    stats.rcv_copies += 1;
-                    stats.copy_time += ctx.now().duration_since(t0);
+                        .expect("flushed rank allocated")
+                        .dev_base
+                };
+                let handles = if h2d {
+                    let items: Vec<gv_cuda::BatchH2d<'_>> = run
+                        .iter()
+                        .map(|&i| gv_cuda::BatchH2d {
+                            stream: rank_of(i).stream,
+                            src: xfer_lease(rank_of(i), zc, true).buffer(),
+                            src_offset: 0,
+                            dst: dev_base(i),
+                            bytes: xfers[i].bytes,
+                        })
+                        .collect();
+                    cc.memcpy_h2d_async_batch(ctx, &items)
+                } else {
+                    let items: Vec<gv_cuda::BatchD2h<'_>> = run
+                        .iter()
+                        .map(|&i| gv_cuda::BatchD2h {
+                            stream: rank_of(i).stream,
+                            src: dev_base(i).add(rank_of(i).task.d2h_offset),
+                            dst: xfer_lease(rank_of(i), zc, false).buffer(),
+                            dst_offset: 0,
+                            bytes: xfers[i].bytes,
+                        })
+                        .collect();
+                    cc.memcpy_d2h_async_batch(ctx, &items)
                 }
-                // End of the rank's round: both staging leases go back to
-                // the pool (this round's copies are done — the client's
-                // STP was ACKed at the round boundary before it sent RCV —
-                // so no copy still references them; a prefetched next
-                // round's H2D reads `pinned_in_next`, which is promoted,
-                // never recycled, here).
-                if let Some(l) = ranks[r].pinned_in.take() {
-                    ml.pool.recycle(ctx.tracer(), l);
+                .expect("GVM fused DMA submit");
+                tally.dma_ops += run.len() as u64;
+                tally.fused_groups += 1;
+                tally.fused_subs += run.len() as u64;
+                if ctx.tracer().analysis_enabled() {
+                    record_coalesce_op(ctx, &self.h, cc, h2d, run, &members, &handles);
                 }
-                if let Some(l) = ranks[r].pinned_out.take() {
-                    ml.pool.recycle(ctx.tracer(), l);
-                }
-                ranks[r].pinned_in = ranks[r].pinned_in_next.take();
-                ranks[r].h2d_preissued = std::mem::take(&mut ranks[r].h2d_preissued_next);
-                ranks[r].round_tail = None;
-                ranks[r].rounds_done += 1;
-                send_recorded(ctx, &mut ranks[r], Response::ack(req.seq));
-            }
-            RequestKind::Rls => {
-                ranks[r].state = RankState::Released;
-                finished += 1;
-                {
-                    let rank = &mut ranks[r];
-                    let idle = contexts[rank.dev_idx].stream_query(rank.stream);
-                    // Under lazy allocation (fault tolerance or finite
-                    // quotas) a released rank's device allocation is
-                    // parked in the same cache the evict path feeds, so a
-                    // later admission of the same shape (e.g. a second
-                    // scheduling wave) reuses it instead of paying
-                    // cudaMalloc again — and so demand-swap has idle
-                    // working sets to evict. Fault-free unlimited GVMs
-                    // keep the seed behavior: allocations live to
-                    // shutdown.
-                    if lazy_alloc && idle {
-                        if let Some(gpu) = rank.gpu.take() {
-                            ml.devcache.put(
-                                rank.dev_idx,
-                                rank.task.device_bytes.max(1),
-                                gpu.dev_base,
-                                ctx.now(),
-                            );
-                        }
-                    }
-                    // Releasing the session releases its quota charge
-                    // (the parked allocation is cache capacity, not
-                    // session commitment).
-                    quota_credit_all(ctx, &h, &cudas, rank, r);
-                    // A client that releases mid-cycle (after a prefetch,
-                    // before the round it fed) leaves staged leases
-                    // behind; reclaim them once nothing references them.
-                    if idle {
-                        if let Some(l) = rank.pinned_in.take() {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        }
-                        if let Some(l) = rank.pinned_in_next.take() {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        }
-                        if let Some(l) = rank.pinned_out.take() {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        }
-                    }
-                    // The zero-copy lease's generation is bumped either
-                    // way, so any descriptor the client still holds goes
-                    // stale. With copies still in flight the lease is
-                    // retired instead of recycled — nobody can ever be
-                    // handed a window an async copy still references.
-                    if let Some(l) = rank.zc_lease.take() {
-                        rank.zc_desc = None;
-                        if idle {
-                            ml.pool.recycle(ctx.tracer(), l);
-                        } else {
-                            ml.pool.retire(ctx.tracer(), l);
-                        }
-                    }
-                    rank.round_tail = None;
-                }
-                send_recorded(ctx, &mut ranks[r], Response::ack(req.seq));
-                // A release shrinks the group: the barrier other ranks are
-                // waiting behind may now be satisfied at the reduced width
-                // (in every mode — the seed only re-evaluated under fault
-                // tolerance, which hung non-uniform fault-free groups).
-                let active = active_count(&ranks);
-                let groups = scheduler.on_membership(&str_waiting, active);
-                dispatch_groups(
-                    ctx,
-                    &h,
-                    &contexts,
-                    &mut ranks,
-                    &mut str_waiting,
-                    &mut batch_start,
-                    &mut ml,
-                    groups,
-                );
             }
         }
     }
 
-    // Free device resources still held (released ranks keep theirs until
-    // GVM shutdown; evicted ranks were reclaimed at eviction), and settle
-    // any quota charge a rank still carries (a Closed-queue exit can leave
-    // sessions mid-cycle).
-    for r in 0..ranks.len() {
-        quota_credit_all(ctx, &h, &cudas, &mut ranks[r], r);
-        if let Some(gpu) = &ranks[r].gpu {
-            let _ = cudas[ranks[r].dev_idx].device().free(gpu.dev_base);
-        }
-        // A Closed-queue exit can leave zero-copy sessions mid-cycle with
-        // their boot leases still held; settle them so the pool's
-        // allocated/in-use ledgers balance at shutdown.
-        if let Some(l) = ranks[r].zc_lease.take() {
-            ml.pool.recycle(ctx.tracer(), l);
-        }
-    }
-    // Return parked device allocations with real frees so the device's
-    // alloc/free balance (and `used() == 0`) holds at shutdown; swapped
-    // entries hold no device memory, their staging leases go back to the
-    // pool (`PoolRecycle` is the retirement marker the quota checker
-    // matches against outstanding swap-outs).
-    for (dev, _bytes, state) in ml.devcache.drain() {
-        match state {
-            CachedAlloc::Resident(ptr) => {
-                let _ = cudas[dev].device().free(ptr);
+    /// The kernel wave of a coalesced flush at iteration `it`: when ≥ 2
+    /// ranks launch on one device, their kernels go down as a single
+    /// batched submission charging the host launch overhead once instead
+    /// of once per kernel.
+    fn launch_wave(&self, ctx: &mut Ctx, group: &[usize], it: u32, tally: &mut WaveTally) {
+        let mut launches: Vec<LaunchWave> = Vec::new();
+        for &r in group {
+            let rank = &self.ranks[r];
+            if it >= rank.task.iterations {
+                continue;
             }
-            CachedAlloc::Swapped(lease) => {
-                ml.pool.recycle(ctx.tracer(), lease);
+            let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
+            let items = gpu.kernels.iter().map(|k| (rank.stream, k.clone()));
+            match launches.iter_mut().find(|(d, _, _)| *d == rank.dev_idx) {
+                Some((_, n, v)) => {
+                    *n += 1;
+                    v.extend(items);
+                }
+                None => launches.push((rank.dev_idx, 1, items.collect())),
             }
         }
+        for (dev_idx, nranks, items) in launches {
+            let cc = &self.contexts[dev_idx];
+            if nranks >= 2 && !items.is_empty() {
+                cc.launch_batch(ctx, &items).expect("GVM batched launch");
+                tally.launch_waves += 1;
+                tally.batched_launches += items.len() as u64;
+            } else {
+                for (stream, k) in items {
+                    cc.launch(ctx, stream, k).expect("GVM launch");
+                }
+            }
+        }
     }
-    {
-        let ps = ml.pool.stats();
-        let cs = ml.devcache.stats();
-        let mut stats = h.stats.lock();
-        stats.pool_hits = ps.hits;
-        stats.pool_misses = ps.misses;
-        stats.pool_high_water_bytes = ps.high_water_bytes;
-        stats.pool_released_buffers = ps.released_buffers;
-        stats.pool_released_bytes = ps.released_bytes;
-        stats.pool_over_cap = ps.over_cap;
-        stats.pool_backpressure_waits = ps.backpressure_waits;
-        stats.devcache_hits = cs.hits;
-        stats.devcache_misses = cs.misses;
+
+    /// Teardown: free device resources still held (released ranks keep
+    /// theirs until GVM shutdown; evicted ranks were reclaimed at
+    /// eviction), settle quota charges and zero-copy leases a Closed-queue
+    /// exit can leave mid-cycle, return parked allocations, publish the
+    /// pool and cache counters, and open `done`.
+    fn shutdown(mut self, ctx: &mut Ctx) {
+        for r in 0..self.ranks.len() {
+            self.quota_credit_all(ctx, r);
+            let rank = &mut self.ranks[r];
+            if let Some(gpu) = &rank.gpu {
+                let _ = self.cudas[rank.dev_idx].device().free(gpu.dev_base);
+            }
+            if let Some(l) = rank.zc_lease.take() {
+                self.ml.pool.recycle(ctx.tracer(), l);
+            }
+        }
+        // Parked device allocations get real frees so the device's
+        // alloc/free balance (and `used() == 0`) holds at shutdown; swapped
+        // entries hold no device memory, their staging leases go back to
+        // the pool (`PoolRecycle` is the retirement marker the quota
+        // checker matches against outstanding swap-outs).
+        for (dev, _bytes, state) in self.ml.devcache.drain() {
+            match state {
+                CachedAlloc::Resident(ptr) => {
+                    let _ = self.cudas[dev].device().free(ptr);
+                }
+                CachedAlloc::Swapped(lease) => {
+                    self.ml.pool.recycle(ctx.tracer(), lease);
+                }
+            }
+        }
+        {
+            let ps = self.ml.pool.stats();
+            let cs = self.ml.devcache.stats();
+            let mut stats = self.h.stats.lock();
+            stats.pool_hits = ps.hits;
+            stats.pool_misses = ps.misses;
+            stats.pool_high_water_bytes = ps.high_water_bytes;
+            stats.pool_released_buffers = ps.released_buffers;
+            stats.pool_released_bytes = ps.released_bytes;
+            stats.pool_over_cap = ps.over_cap;
+            stats.pool_backpressure_waits = ps.backpressure_waits;
+            stats.devcache_hits = cs.hits;
+            stats.devcache_misses = cs.misses;
+        }
+        self.h.done.open(ctx);
     }
-    h.done.open(ctx);
 }
 
 /// Send `resp` to `rank` and record it for idempotent retries. In the
@@ -1705,697 +2157,28 @@ fn send_recorded(ctx: &mut Ctx, rank: &mut RankResources, resp: Response) {
     let _ = rank.resp.send(ctx, resp);
 }
 
-/// Charge `bytes` against rank `r`'s quota meter, the device's commitment
-/// ledger, and the analysis stream. No-op when quota accounting is off.
-fn quota_charge(
-    ctx: &Ctx,
-    h: &GvmHandle,
-    cudas: &[CudaDevice],
-    rank: &mut RankResources,
-    r: usize,
-    bytes: u64,
-) {
-    if h.config.quotas.is_none() {
-        return;
-    }
-    rank.charged += bytes;
-    cudas[rank.dev_idx]
-        .device()
-        .with_memory(|m| m.charge(bytes));
-    ctx.tracer()
-        .record_analysis(gv_sim::AnalysisRecord::QuotaCharge {
-            time: ctx.now(),
-            gvm: h.endpoints.gvm.clone(),
-            rank: r,
-            bytes,
-            charged: rank.charged,
-        });
-}
-
-/// Release everything rank `r` still has charged against its quota (at
-/// `RLS`, eviction, or GVM shutdown). No-op when nothing is charged.
-fn quota_credit_all(
-    ctx: &Ctx,
-    h: &GvmHandle,
-    cudas: &[CudaDevice],
-    rank: &mut RankResources,
-    r: usize,
-) {
-    if rank.charged == 0 {
-        return;
-    }
-    let bytes = std::mem::take(&mut rank.charged);
-    cudas[rank.dev_idx]
-        .device()
-        .with_memory(|m| m.credit(bytes));
-    ctx.tracer()
-        .record_analysis(gv_sim::AnalysisRecord::QuotaCredit {
-            time: ctx.now(),
-            gvm: h.endpoints.gvm.clone(),
-            rank: r,
-            bytes,
-            charged: 0,
-        });
-}
-
-/// Allocate `bytes` on `dev_idx` for rank `r`, demand-swapping idle parked
-/// working sets (LRU-first) out to pooled pinned host staging until the
-/// allocation fits — when [`GvmConfig::swap`] is on; a plain `malloc`
-/// otherwise. The requesting rank's (idle) stream carries the D2H copies,
-/// and each victim's device memory is freed only after its copies
-/// completed, so no copy ever references freed memory.
-#[allow(clippy::too_many_arguments)]
-fn alloc_with_swap(
-    ctx: &mut Ctx,
-    h: &GvmHandle,
-    cudas: &[CudaDevice],
-    contexts: &[gv_cuda::CudaContext],
-    ml: &mut MemLayer,
-    r: usize,
-    dev_idx: usize,
-    stream: gv_gpu::StreamId,
-    numa: usize,
-    bytes: u64,
-) -> Result<DevicePtr, gv_cuda::CudaError> {
-    loop {
-        let err = match contexts[dev_idx].malloc(bytes) {
-            Ok(ptr) => return Ok(ptr),
-            Err(e) => e,
-        };
-        if !h.config.swap {
-            return Err(err);
-        }
-        // Pick the coldest resident parked allocation on this device; if
-        // nothing is parked there is nothing left to swap and the OOM is
-        // final.
-        let Some((vbytes, vptr, vstamp)) = ml.devcache.lru_resident(dev_idx) else {
-            return Err(err);
-        };
-        // Stage the victim's bytes into an opaque pool lease through the
-        // chunked planner (the staging checker audits the tiling like any
-        // other transfer), then free the device memory and re-park the
-        // entry as swapped with its LRU stamp preserved. `acquire_on`
-        // never blocks, so admission backpressure cannot deadlock against
-        // a swap in progress.
-        let lease = ml.pool.acquire_on(ctx.tracer(), vbytes, false, numa);
-        let (xfer, spans) = ml.plan(ctx.tracer(), r, vbytes);
-        for span in &spans {
-            let cmd = contexts[dev_idx]
-                .memcpy_d2h_async_at(
-                    ctx,
-                    stream,
-                    vptr.add(span.offset),
-                    lease.buffer(),
-                    span.offset,
-                    span.len,
-                )
-                .expect("swap-out D2H submit");
-            gv_mem::record_chunk(
-                ctx.tracer(),
-                cudas[dev_idx].device().tracer_ordinal(),
-                r,
-                xfer,
-                false,
-                *span,
-                vbytes,
-                lease.id(),
-                format!("cmd-{}", cmd.id),
-            );
-        }
-        contexts[dev_idx].stream_synchronize(ctx, stream);
-        let _ = cudas[dev_idx].device().free(vptr);
-        ctx.tracer()
-            .record_analysis(gv_sim::AnalysisRecord::SwapOut {
-                time: ctx.now(),
-                gvm: h.endpoints.gvm.clone(),
-                device: cudas[dev_idx].device().tracer_ordinal(),
-                buf: lease.id(),
-                bytes: vbytes,
-            });
-        {
-            let mut stats = h.stats.lock();
-            stats.swap_outs += 1;
-            stats.swapped_out_bytes += vbytes;
-        }
-        ml.devcache.park_swapped(dev_idx, vbytes, lease, vstamp);
-    }
-}
-
-/// Evict `r`: reclaim its device memory, close and unlink its response
-/// queue, unlink its shared-memory segment, and drop it from the barrier —
-/// an implicit `RLS` performed by the GVM on the rank's behalf.
-///
-/// Reclaimed buffers are recycled (device allocation into the cache,
-/// staging leases back to the pool) only when the rank's stream is idle;
-/// with work still in flight the allocation is freed for real (as the
-/// seed did) and the leases are retired un-recycled, so no other rank can
-/// ever be handed a buffer an in-flight copy still references.
-#[allow(clippy::too_many_arguments)]
-fn evict(
-    ctx: &mut Ctx,
-    h: &GvmHandle,
-    cudas: &[CudaDevice],
-    contexts: &[gv_cuda::CudaContext],
-    ranks: &mut [RankResources],
-    str_waiting: &mut Vec<usize>,
-    ml: &mut MemLayer,
-    r: usize,
-) {
-    let rank = &mut ranks[r];
-    rank.state = RankState::Evicted;
-    let idle = contexts[rank.dev_idx].stream_query(rank.stream);
-    if let Some(gpu) = rank.gpu.take() {
-        if idle {
-            ml.devcache.put(
-                rank.dev_idx,
-                rank.task.device_bytes.max(1),
-                gpu.dev_base,
-                ctx.now(),
-            );
-        } else {
-            let _ = cudas[rank.dev_idx].device().free(gpu.dev_base);
-        }
-    }
-    quota_credit_all(ctx, h, cudas, rank, r);
-    if idle {
-        if let Some(l) = rank.pinned_in.take() {
-            ml.pool.recycle(ctx.tracer(), l);
-        }
-        if let Some(l) = rank.pinned_in_next.take() {
-            ml.pool.recycle(ctx.tracer(), l);
-        }
-        if let Some(l) = rank.pinned_out.take() {
-            ml.pool.recycle(ctx.tracer(), l);
-        }
-    } else {
-        rank.pinned_in = None;
-        rank.pinned_in_next = None;
-        rank.pinned_out = None;
-    }
-    // The zero-copy boot lease: recycle when safe, retire (generation
-    // bump, no reuse) while its window may still be referenced by an
-    // in-flight copy. Either way the evicted client's descriptor is
-    // stale from here on.
-    if let Some(l) = rank.zc_lease.take() {
-        rank.zc_desc = None;
-        if idle {
-            ml.pool.recycle(ctx.tracer(), l);
-        } else {
-            ml.pool.retire(ctx.tracer(), l);
-        }
-    }
-    rank.round_tail = None;
-    rank.resp.close(ctx);
-    let _ = h.resp_mq.unlink(&h.endpoints.response_queue(r));
-    let _ = h.shm.unlink(&h.endpoints.shm(r));
-    str_waiting.retain(|&w| w != r);
-    ctx.tracer().fault(ctx.now(), format!("evict:rank{r}"));
-    ctx.tracer()
-        .record_analysis(gv_sim::AnalysisRecord::ProtoEvict {
-            time: ctx.now(),
-            gvm: h.endpoints.gvm.clone(),
-            rank: r,
-        });
-    h.stats.lock().evictions += 1;
-}
-
-/// Number of ranks still being served.
-fn active_count(ranks: &[RankResources]) -> usize {
-    ranks
-        .iter()
-        .filter(|k| k.state == RankState::Active)
-        .count()
-}
-
-/// Execute the scheduler's decision: flush each returned group in order.
-/// Resets the batch window once the backlog drains.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_groups(
-    ctx: &mut Ctx,
-    h: &GvmHandle,
-    contexts: &[gv_cuda::CudaContext],
-    ranks: &mut [RankResources],
-    str_waiting: &mut Vec<usize>,
-    batch_start: &mut Option<gv_sim::SimTime>,
-    ml: &mut MemLayer,
-    groups: Vec<Dispatch>,
-) {
-    for group in groups {
-        if group.is_empty() {
-            continue;
-        }
-        flush_group(
-            ctx,
-            h,
-            contexts,
-            ranks,
-            str_waiting,
-            batch_start,
-            ml,
-            &group,
-        );
-    }
-    if str_waiting.is_empty() {
-        *batch_start = None;
-    }
-}
-
-/// Flush one group's streams (in the scheduler's submission order), then
-/// ACK the covered ranks in `STR` arrival order and drop them from the
-/// barrier.
-#[allow(clippy::too_many_arguments)]
-fn flush_group(
-    ctx: &mut Ctx,
-    h: &GvmHandle,
-    contexts: &[gv_cuda::CudaContext],
-    ranks: &mut [RankResources],
-    str_waiting: &mut Vec<usize>,
-    batch_start: &Option<gv_sim::SimTime>,
-    ml: &mut MemLayer,
-    group: &[usize],
-) {
-    let cfg = &h.config;
-    let t0 = ctx.now();
-    let active = active_count(ranks);
-    // The coalescing planner only takes over multi-rank flushes on the
-    // overlapped (non-serial) schedule, and never in a swapping GVM —
-    // demand-swap can relocate lease windows mid-session, so fusing
-    // across it is forbidden (the gv-analyze coalesce checker enforces
-    // this over traces). Everything else goes through the unmodified
-    // per-rank path, which stays bit-identical to the pre-coalescing
-    // schedule.
-    let coalesce = ml.mem.coalesce.enabled && group.len() >= 2 && !cfg.serial_flush && !cfg.swap;
-    let dma_ops = if coalesce {
-        flush_group_coalesced(ctx, h, contexts, ranks, ml, group)
-    } else {
-        let mut dma_ops = 0u64;
-        for &r in group {
-            let rank = &mut ranks[r];
-            let cc = &contexts[rank.dev_idx];
-            dma_ops += flush_rank(ctx, cc, h, r, rank, ml);
-            if cfg.serial_flush {
-                cc.stream_synchronize(ctx, rank.stream);
-            }
-        }
-        dma_ops
-    };
-    // The queueing delay this dispatch imposed: how long the oldest
-    // pending STR sat behind the policy's trigger.
-    let gap = batch_start
-        .map(|b| t0.duration_since(b))
-        .unwrap_or(SimDuration::ZERO);
-    {
-        let mut stats = h.stats.lock();
-        stats.flushes += 1;
-        stats.submit_time += ctx.now().duration_since(t0);
-        stats.idle_gap += gap;
-        stats.flush_dma_ops += dma_ops;
-        if group.len() < active {
-            stats.partial_flushes += 1;
-        }
-    }
-    if gap > SimDuration::ZERO {
-        ctx.tracer()
-            .instant(t0, "sched", format!("idle-gap:{}ns", gap.as_nanos()));
-    }
-    // "Barrier to synchronize ACK to all processes" — arrival order, as in
-    // the paper's joint flush, restricted to the covered ranks. The order
-    // is assembled into a reusable scratch so steady-state flushes do not
-    // allocate.
-    ml.ack.clear();
-    ml.ack
-        .extend(str_waiting.iter().filter(|w| group.contains(w)).copied());
-    if ctx.tracer().analysis_enabled() {
-        ctx.tracer()
-            .record_analysis(gv_sim::AnalysisRecord::ProtoFlush {
-                time: ctx.now(),
-                gvm: h.endpoints.gvm.clone(),
-                ranks: ml.ack.clone(),
-            });
-    }
-    if cfg.mem.zero_copy && !ml.ack.is_empty() {
-        // Descriptor-passing batches the flush ACKs: the mq latency is
-        // charged once per flush instead of once per rank, then every
-        // covered rank's ACK is enqueued prepaid (message faults still
-        // apply per queue). This is the "one mq round-trip per scheduler
-        // flush" half of the zero-copy overhead cut.
-        let first = ml.ack[0];
-        ranks[first].resp.charge_latency(ctx);
-        for &rr in &ml.ack {
-            let seq = ranks[rr].last_seq;
-            let rank = &mut ranks[rr];
-            rank.last_resp = Some(ResponseKind::Ack);
-            let _ = rank.resp.send_prepaid(ctx, Response::ack(seq));
-        }
-    } else {
-        for &rr in &ml.ack {
-            let seq = ranks[rr].last_seq;
-            let rank = &mut ranks[rr];
-            rank.last_resp = Some(ResponseKind::Ack);
-            let _ = rank.resp.send(ctx, Response::ack(seq));
-        }
-    }
-    str_waiting.retain(|w| !group.contains(w));
-}
-
 /// One device's kernel wave: device index, rank count, and the
 /// per-stream launch descriptors in flush order.
 type LaunchWave = (usize, usize, Vec<(gv_gpu::StreamId, gv_gpu::KernelDesc)>);
 
 /// One transfer a coalescing wave wants to move: the member's rank, its
-/// payload this iteration, and the chunk count the serial path would use.
+/// payload this iteration, and the chunk count the per-rank path would
+/// use.
 struct WaveXfer {
     r: usize,
     bytes: u64,
     k: u64,
 }
 
-/// The staging lease a wave member's transfer sources from / drains into.
-fn wave_lease(rank: &RankResources, zc: bool, h2d: bool) -> &StagingLease {
-    if zc {
-        rank.zc_lease.as_ref().expect("zero-copy lease")
-    } else if h2d {
-        rank.pinned_in.as_ref().expect("SND leased pinned_in")
-    } else {
-        rank.pinned_out
-            .as_ref()
-            .expect("pinned_out leased at flush")
-    }
-}
-
-/// The coalescing flush: instead of enqueueing each rank's complete
-/// pipeline in turn, the group is submitted *wave-per-iteration* — all
-/// ranks' H2D transfers, then all their kernel launches, then all their
-/// D2H drains, per iteration. Per-stream command order is unchanged (each
-/// rank still sees H2D → kernels → D2H on its own in-order stream), so
-/// functional outputs are bitwise identical to the per-rank path; only
-/// the submission schedule differs:
-///
-/// * Within a wave, runs of members whose staging leases are adjacent in
-///   host memory ([`CoalescePlan`]) go down as one fused DMA submission —
-///   the copy engine sweeps the combined range and every sub-op after the
-///   first elides the per-op setup latency. Each fused submission leaves
-///   an [`AnalysisRecord::CoalesceOp`](gv_sim::AnalysisRecord::CoalesceOp)
-///   manifest for the gv-analyze coalesce checker.
-/// * When a wave's kernels span ≥ 2 ranks on one device, the launches go
-///   down as a single batched submission charging the host launch
-///   overhead once instead of once per kernel.
-fn flush_group_coalesced(
-    ctx: &mut Ctx,
-    h: &GvmHandle,
-    contexts: &[gv_cuda::CudaContext],
-    ranks: &mut [RankResources],
-    ml: &mut MemLayer,
-    group: &[usize],
-) -> u64 {
-    let zc = ml.mem.zero_copy;
-    let ccfg = ml.mem.coalesce;
-    let quota_on = h.config.quotas.is_some();
-    let analysis = ctx.tracer().analysis_enabled();
-    let mut dma_ops = 0u64;
-    let mut fused_groups = 0u64;
-    let mut fused_subs = 0u64;
-    let mut launch_waves = 0u64;
-    let mut batched_launches = 0u64;
-
-    // Output leases are acquired upfront, place-chained, so the D2H waves
-    // see adjacent regions; pre-issued iteration-0 H2Ds are taken now.
-    let mut preissued = vec![false; group.len()];
-    let mut chain: Option<u64> = None;
-    for (gi, &r) in group.iter().enumerate() {
-        let rank = &mut ranks[r];
-        let (bytes_out, functional) = (rank.task.bytes_out, rank.task.is_functional());
-        if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
-            let lease = ml
-                .pool
-                .acquire_at(ctx.tracer(), bytes_out, functional, rank.numa, chain);
-            chain = Some(lease.place_addr() + lease.capacity());
-            rank.pinned_out = Some(lease);
-        } else if let Some(l) = rank.pinned_out.as_ref() {
-            chain = Some(l.place_addr() + l.capacity());
-        }
-        preissued[gi] = std::mem::take(&mut rank.h2d_preissued);
-    }
-    let max_iters = group
-        .iter()
-        .map(|&r| ranks[r].task.iterations)
-        .max()
-        .unwrap_or(0);
-
-    for it in 0..max_iters {
-        // ---- H2D wave: per device, fuse adjacent-lease runs. ----
-        let mut by_dev: Vec<(usize, Vec<WaveXfer>)> = Vec::new();
-        for (gi, &r) in group.iter().enumerate() {
-            let rank = &ranks[r];
-            if it >= rank.task.iterations || (it == 0 && preissued[gi]) {
-                continue;
-            }
-            let bytes = rank.task.bytes_in_for_round(rank.rounds_done);
-            if bytes == 0 {
-                continue;
-            }
-            let k = if ml.mem.pipeline.first_round_only {
-                1
-            } else {
-                ml.chooser.choose(bytes, &ml.mem.pipeline)
-            };
-            match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
-                Some((_, v)) => v.push(WaveXfer { r, bytes, k }),
-                None => by_dev.push((rank.dev_idx, vec![WaveXfer { r, bytes, k }])),
-            }
-        }
-        for (dev_idx, xfers) in &by_dev {
-            let cc = &contexts[*dev_idx];
-            let members: Vec<CoalesceMember> = xfers
-                .iter()
-                .map(|x| {
-                    let rank = &ranks[x.r];
-                    let eligible = x.k == 1 && (!quota_on || rank.charged > 0);
-                    CoalesceMember::from_lease(x.r, x.bytes, wave_lease(rank, zc, true), eligible)
-                })
-                .collect();
-            let plan = CoalescePlan::plan(&ccfg, &members);
-            for run in &plan.runs {
-                if run.len() >= 2 {
-                    let items: Vec<gv_cuda::BatchH2d<'_>> = run
-                        .iter()
-                        .map(|&i| {
-                            let rank = &ranks[xfers[i].r];
-                            gv_cuda::BatchH2d {
-                                stream: rank.stream,
-                                src: wave_lease(rank, zc, true).buffer(),
-                                src_offset: 0,
-                                dst: rank.gpu.as_ref().expect("flushed rank allocated").dev_base,
-                                bytes: xfers[i].bytes,
-                            }
-                        })
-                        .collect();
-                    let handles = cc
-                        .memcpy_h2d_async_batch(ctx, &items)
-                        .expect("GVM fused H2D submit");
-                    dma_ops += run.len() as u64;
-                    fused_groups += 1;
-                    fused_subs += run.len() as u64;
-                    if analysis {
-                        record_coalesce_op(ctx, h, cc, true, run, &members, &handles);
-                    }
-                } else {
-                    let i = run[0];
-                    let (r, bytes, k) = (xfers[i].r, xfers[i].bytes, xfers[i].k);
-                    let rank = &ranks[r];
-                    let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-                    let lease = wave_lease(rank, zc, true);
-                    if k > 1 {
-                        let xfer = ml.plan_scratch(ctx.tracer(), r, bytes);
-                        for span in &ml.spans {
-                            let cmd = cc
-                                .memcpy_h2d_async_at(
-                                    ctx,
-                                    rank.stream,
-                                    lease.buffer(),
-                                    span.offset,
-                                    gpu.dev_base.add(span.offset),
-                                    span.len,
-                                )
-                                .expect("GVM H2D submit");
-                            let label = if analysis {
-                                format!("cmd-{}", cmd.id)
-                            } else {
-                                String::new()
-                            };
-                            gv_mem::record_chunk(
-                                ctx.tracer(),
-                                cc.cuda().device().tracer_ordinal(),
-                                r,
-                                xfer,
-                                true,
-                                *span,
-                                bytes,
-                                lease.id(),
-                                label,
-                            );
-                        }
-                        dma_ops += ml.spans.len() as u64;
-                        let mut stats = h.stats.lock();
-                        stats.chunked_transfers += 1;
-                        stats.chunks_submitted += ml.spans.len() as u64;
-                    } else {
-                        cc.memcpy_h2d_async(ctx, rank.stream, lease.buffer(), gpu.dev_base, bytes)
-                            .expect("GVM H2D submit");
-                        dma_ops += 1;
-                    }
-                }
-            }
-        }
-
-        // ---- Kernel wave: batch launches when ≥ 2 ranks share a device. ----
-        let mut launches: Vec<LaunchWave> = Vec::new();
-        for &r in group {
-            let rank = &ranks[r];
-            if it >= rank.task.iterations {
-                continue;
-            }
-            let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-            let items: Vec<_> = gpu
-                .kernels
-                .iter()
-                .map(|k| (rank.stream, k.clone()))
-                .collect();
-            match launches.iter_mut().find(|(d, _, _)| *d == rank.dev_idx) {
-                Some((_, n, v)) => {
-                    *n += 1;
-                    v.extend(items);
-                }
-                None => launches.push((rank.dev_idx, 1, items)),
-            }
-        }
-        for (dev_idx, nranks, items) in launches {
-            let cc = &contexts[dev_idx];
-            if nranks >= 2 && !items.is_empty() {
-                cc.launch_batch(ctx, &items).expect("GVM batched launch");
-                launch_waves += 1;
-                batched_launches += items.len() as u64;
-            } else {
-                for (stream, k) in items {
-                    cc.launch(ctx, stream, k).expect("GVM launch");
-                }
-            }
-        }
-
-        // ---- D2H wave: staged drains every iteration, zero-copy only on
-        // the final one (one lease window serves both directions). ----
-        let mut by_dev: Vec<(usize, Vec<WaveXfer>)> = Vec::new();
-        for &r in group {
-            let rank = &ranks[r];
-            if it >= rank.task.iterations || rank.task.bytes_out == 0 {
-                continue;
-            }
-            if zc && it + 1 != rank.task.iterations {
-                continue;
-            }
-            let bytes = rank.task.bytes_out;
-            let k = ml.chooser.choose(bytes, &ml.mem.pipeline);
-            match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
-                Some((_, v)) => v.push(WaveXfer { r, bytes, k }),
-                None => by_dev.push((rank.dev_idx, vec![WaveXfer { r, bytes, k }])),
-            }
-        }
-        for (dev_idx, xfers) in &by_dev {
-            let cc = &contexts[*dev_idx];
-            let members: Vec<CoalesceMember> = xfers
-                .iter()
-                .map(|x| {
-                    let rank = &ranks[x.r];
-                    let eligible = x.k == 1 && (!quota_on || rank.charged > 0);
-                    CoalesceMember::from_lease(x.r, x.bytes, wave_lease(rank, zc, false), eligible)
-                })
-                .collect();
-            let plan = CoalescePlan::plan(&ccfg, &members);
-            for run in &plan.runs {
-                if run.len() >= 2 {
-                    let items: Vec<gv_cuda::BatchD2h<'_>> = run
-                        .iter()
-                        .map(|&i| {
-                            let rank = &ranks[xfers[i].r];
-                            let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-                            gv_cuda::BatchD2h {
-                                stream: rank.stream,
-                                src: gpu.dev_base.add(rank.task.d2h_offset),
-                                dst: wave_lease(rank, zc, false).buffer(),
-                                dst_offset: 0,
-                                bytes: xfers[i].bytes,
-                            }
-                        })
-                        .collect();
-                    let handles = cc
-                        .memcpy_d2h_async_batch(ctx, &items)
-                        .expect("GVM fused D2H submit");
-                    dma_ops += run.len() as u64;
-                    fused_groups += 1;
-                    fused_subs += run.len() as u64;
-                    if analysis {
-                        record_coalesce_op(ctx, h, cc, false, run, &members, &handles);
-                    }
-                } else {
-                    let i = run[0];
-                    let (r, bytes) = (xfers[i].r, xfers[i].bytes);
-                    let rank = &ranks[r];
-                    let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-                    let lease = wave_lease(rank, zc, false);
-                    let xfer = ml.plan_scratch(ctx.tracer(), r, bytes);
-                    for span in &ml.spans {
-                        let cmd = cc
-                            .memcpy_d2h_async_at(
-                                ctx,
-                                rank.stream,
-                                gpu.dev_base.add(rank.task.d2h_offset + span.offset),
-                                lease.buffer(),
-                                span.offset,
-                                span.len,
-                            )
-                            .expect("GVM D2H submit");
-                        let label = if analysis {
-                            format!("cmd-{}", cmd.id)
-                        } else {
-                            String::new()
-                        };
-                        gv_mem::record_chunk(
-                            ctx.tracer(),
-                            cc.cuda().device().tracer_ordinal(),
-                            r,
-                            xfer,
-                            false,
-                            *span,
-                            bytes,
-                            lease.id(),
-                            label,
-                        );
-                    }
-                    dma_ops += ml.spans.len() as u64;
-                    if ml.spans.len() > 1 {
-                        let mut stats = h.stats.lock();
-                        stats.chunked_transfers += 1;
-                        stats.chunks_submitted += ml.spans.len() as u64;
-                    }
-                }
-            }
-        }
-    }
-
-    if ml.mem.pipeline.steady {
-        for &r in group {
-            let rank = &mut ranks[r];
-            rank.round_tail = contexts[rank.dev_idx].stream_tail(rank.stream);
-        }
-    }
-    {
-        let mut stats = h.stats.lock();
-        stats.fused_dma_groups += fused_groups;
-        stats.fused_dma_subs += fused_subs;
-        stats.batched_launch_waves += launch_waves;
-        stats.batched_launches += batched_launches;
-    }
-    dma_ops
+/// What one coalesced flush submitted, published to [`GvmStats`] at its
+/// end.
+#[derive(Default)]
+struct WaveTally {
+    dma_ops: u64,
+    fused_groups: u64,
+    fused_subs: u64,
+    launch_waves: u64,
+    batched_launches: u64,
 }
 
 /// Emit the fused submission's [`CoalesceOp`] manifest: member ranks in
@@ -2433,163 +2216,4 @@ fn record_coalesce_op(
             gens: run.iter().map(|&i| members[i].generation).collect(),
             cmds: handles.iter().map(|cmd| cmd.id).collect(),
         });
-}
-
-/// Enqueue one rank's complete pipeline into its stream: per iteration,
-/// async H2D from pinned, the kernel sequence, async D2H into pinned.
-///
-/// When `SND` already pre-issued the input payload as chunked copies, the
-/// first iteration's H2D is skipped — it is already queued ahead of the
-/// kernels in the same in-order stream. Output payloads at or above the
-/// pipeline threshold are split into chunks so the D2H of early chunks
-/// overlaps the compute still queued behind them on other ranks' streams.
-fn flush_rank(
-    ctx: &mut Ctx,
-    cc: &gv_cuda::CudaContext,
-    h: &GvmHandle,
-    r: usize,
-    rank: &mut RankResources,
-    ml: &mut MemLayer,
-) -> u64 {
-    let mut dma_ops = 0u64;
-    let (bytes_in, bytes_out, d2h_offset, iterations, functional) = (
-        rank.task.bytes_in_for_round(rank.rounds_done),
-        rank.task.bytes_out,
-        rank.task.d2h_offset,
-        rank.task.iterations,
-        rank.task.is_functional(),
-    );
-    let zc = ml.mem.zero_copy;
-    let analysis = ctx.tracer().analysis_enabled();
-    // Zero-copy needs no pinned_out: results drain straight into the
-    // rank's lease-backed segment on the final iteration.
-    if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
-        rank.pinned_out = Some(
-            ml.pool
-                .acquire_on(ctx.tracer(), bytes_out, functional, rank.numa),
-        );
-    }
-    let gpu = rank
-        .gpu
-        .as_ref()
-        .expect("barriered rank has device allocation");
-    let preissued = std::mem::take(&mut rank.h2d_preissued);
-    for it in 0..iterations {
-        if bytes_in > 0 && !(it == 0 && preissued) {
-            // Re-loads source the zero-copy lease directly (the client's
-            // input is still untouched there until the final D2H) or the
-            // staged pinned_in lease.
-            let lease = if zc {
-                rank.zc_lease.as_ref().expect("zero-copy lease")
-            } else {
-                rank.pinned_in.as_ref().expect("SND leased pinned_in")
-            };
-            // The first-round-only ablation re-uploads monolithically, as
-            // the pre-steady-state flush did.
-            let k = if ml.mem.pipeline.first_round_only {
-                1
-            } else {
-                ml.chooser.choose(bytes_in, &ml.mem.pipeline)
-            };
-            if k > 1 {
-                // Later iterations re-load the input chunk-wise too:
-                // tiles release the shared H2D engine between spans, so
-                // other ranks' copies interleave instead of waiting out
-                // one monolithic transfer at the head of the engine queue.
-                let xfer = ml.plan_scratch(ctx.tracer(), r, bytes_in);
-                for span in &ml.spans {
-                    let cmd = cc
-                        .memcpy_h2d_async_at(
-                            ctx,
-                            rank.stream,
-                            lease.buffer(),
-                            span.offset,
-                            gpu.dev_base.add(span.offset),
-                            span.len,
-                        )
-                        .expect("GVM H2D submit");
-                    let label = if analysis {
-                        format!("cmd-{}", cmd.id)
-                    } else {
-                        String::new()
-                    };
-                    gv_mem::record_chunk(
-                        ctx.tracer(),
-                        cc.cuda().device().tracer_ordinal(),
-                        r,
-                        xfer,
-                        true,
-                        *span,
-                        bytes_in,
-                        lease.id(),
-                        label,
-                    );
-                }
-                dma_ops += ml.spans.len() as u64;
-                let mut stats = h.stats.lock();
-                stats.chunked_transfers += 1;
-                stats.chunks_submitted += ml.spans.len() as u64;
-            } else {
-                cc.memcpy_h2d_async(ctx, rank.stream, lease.buffer(), gpu.dev_base, bytes_in)
-                    .expect("GVM H2D submit");
-                dma_ops += 1;
-            }
-        }
-        for k in &gpu.kernels {
-            cc.launch(ctx, rank.stream, k.clone()).expect("GVM launch");
-        }
-        // Zero-copy drains results only on the final iteration: one lease
-        // window serves both directions, and an intermediate D2H would
-        // clobber the input region that later iterations' re-loads still
-        // read. D2H never mutates device state, so skipping the
-        // intermediate drains leaves the final output bit-identical.
-        if bytes_out > 0 && (!zc || it + 1 == iterations) {
-            let lease = if zc {
-                rank.zc_lease.as_ref().expect("zero-copy lease")
-            } else {
-                rank.pinned_out.as_ref().expect("pinned_out leased above")
-            };
-            let xfer = ml.plan_scratch(ctx.tracer(), r, bytes_out);
-            for span in &ml.spans {
-                let cmd = cc
-                    .memcpy_d2h_async_at(
-                        ctx,
-                        rank.stream,
-                        gpu.dev_base.add(d2h_offset + span.offset),
-                        lease.buffer(),
-                        span.offset,
-                        span.len,
-                    )
-                    .expect("GVM D2H submit");
-                let label = if analysis {
-                    format!("cmd-{}", cmd.id)
-                } else {
-                    String::new()
-                };
-                gv_mem::record_chunk(
-                    ctx.tracer(),
-                    cc.cuda().device().tracer_ordinal(),
-                    r,
-                    xfer,
-                    false,
-                    *span,
-                    bytes_out,
-                    lease.id(),
-                    label,
-                );
-            }
-            dma_ops += ml.spans.len() as u64;
-            if ml.spans.len() > 1 {
-                let mut stats = h.stats.lock();
-                stats.chunked_transfers += 1;
-                stats.chunks_submitted += ml.spans.len() as u64;
-            }
-        }
-    }
-    // Steady mode pins this round's completion point now, before any
-    // prefetched next-round H2D lands on the stream and moves its tail.
-    if ml.mem.pipeline.steady {
-        rank.round_tail = cc.stream_tail(rank.stream);
-    }
-    dma_ops
 }

@@ -109,6 +109,9 @@ pub enum NakReason {
     /// longer matches the lease (the lease was recycled or retired since
     /// the grant); writing through it would alias another rank's buffer.
     Stale,
+    /// The request broke the stage order — e.g. `STR` before the rank's
+    /// `SND`, or `RCV` before any flush — so there is nothing to serve.
+    Protocol,
 }
 
 impl NakReason {
@@ -119,6 +122,7 @@ impl NakReason {
             NakReason::Oom => "oom",
             NakReason::OverQuota => "over-quota",
             NakReason::Stale => "stale-descriptor",
+            NakReason::Protocol => "protocol",
         }
     }
 }
@@ -322,6 +326,7 @@ mod tests {
         assert_eq!(granted.kind, ResponseKind::Ack);
         assert_eq!(Request::new(1, RequestKind::Snd, 2).desc, None);
         assert_eq!(NakReason::Stale.label(), "stale-descriptor");
+        assert_eq!(NakReason::Protocol.label(), "protocol");
     }
 
     #[test]

@@ -11,12 +11,13 @@
 
 use gvirt::cuda::{CudaDevice, CudaError, HostBuffer};
 use gvirt::gpu::{DeviceConfig, GpuDevice, MemError};
+use gvirt::harness::scenario::{ExecutionMode, Scenario};
 use gvirt::ipc::{AffinityError, Node, NodeConfig};
 use gvirt::kernels::vecadd;
 use gvirt::sim::{SimDuration, SimError, SimTime, Simulation};
 use gvirt::virt::{
-    run_direct_abortable, ClientPolicy, FaultPlan, FaultSpec, Gvm, GvmConfig, GvmHandle, NakReason,
-    QueueSel, RequestKind, TaskError, VgpuClient,
+    run_direct_abortable, ClientPolicy, FaultPlan, FaultSpec, Gvm, GvmConfig, GvmHandle, MemConfig,
+    NakReason, QueueSel, Request, RequestKind, TaskError, VgpuClient,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -634,4 +635,186 @@ fn acceptance_eight_rank_abort_replays_identical_trace() {
         "same FaultPlan must replay a byte-identical virtual-time trace"
     );
     assert_eq!(first.fault_labels, second.fault_labels);
+}
+
+// ---------------------------------------------------------------------------
+// Misbehaving clients: the GVM is a shared service, so one tenant's bad
+// request must never take down its co-tenants.
+// ---------------------------------------------------------------------------
+
+/// What a misbehaving-client run leaves behind.
+struct RogueOutcome {
+    /// The rogue process's own verdict.
+    rogue: Result<(), TaskError>,
+    /// Honest ranks' outputs, by rank.
+    honest: Vec<(usize, Vec<u8>)>,
+    stats: gvirt::virt::GvmStats,
+    fault_labels: Vec<String>,
+}
+
+impl RogueOutcome {
+    /// Every honest rank's output is bitwise what the same rank computes
+    /// in Direct mode.
+    fn assert_honest_match_direct(&self, n: usize) {
+        let tasks: Vec<_> = ft_inputs(n)
+            .iter()
+            .map(|(a, b)| vecadd::functional_task(&DeviceConfig::tesla_c2070_paper(), a, b))
+            .collect();
+        let direct = Scenario::default().run(ExecutionMode::Direct, tasks);
+        assert!(!self.honest.is_empty());
+        for (rank, out) in &self.honest {
+            let want = direct.outputs[*rank].as_ref().expect("functional output");
+            assert_eq!(out, want, "honest rank {rank} differs from Direct");
+        }
+    }
+}
+
+/// Run `n` ranks of functional vecadd on a GVM built from `config`. Every
+/// rank except `rogue_rank` runs the full protocol; one extra process runs
+/// `rogue` once the GVM is ready (it may connect as `rogue_rank` or forge
+/// requests of its own).
+fn run_with_rogue(
+    config: GvmConfig,
+    n: usize,
+    rogue_rank: Option<usize>,
+    rogue: impl FnOnce(&mut gvirt::sim::Ctx, &GvmHandle) -> Result<(), TaskError> + Send + 'static,
+) -> RogueOutcome {
+    let mut sim = Simulation::new();
+    sim.tracer().set_enabled(true);
+    let cfg = DeviceConfig::tesla_c2070_paper();
+    let device = GpuDevice::install(&mut sim, cfg.clone());
+    let cuda = CudaDevice::new(device.clone());
+    let node = Node::new(NodeConfig::dual_xeon_x5560());
+    let tasks: Vec<_> = ft_inputs(n)
+        .iter()
+        .map(|(a, b)| vecadd::functional_task(&cfg, a, b))
+        .collect();
+    let handle = Gvm::install(&mut sim, &node, &cuda, config, tasks);
+    type Outputs = Arc<Mutex<Vec<(usize, Vec<u8>)>>>;
+    let honest: Outputs = Arc::new(Mutex::new(Vec::new()));
+    for rank in (0..n).filter(|&r| Some(r) != rogue_rank) {
+        let handle = handle.clone();
+        let honest = honest.clone();
+        node.spawn_pinned(&mut sim, rank, &format!("spmd-{rank}"), move |ctx| {
+            let client = VgpuClient::connect(ctx, &handle, rank);
+            let (_run, out) = client.run_task(ctx);
+            honest.lock().push((rank, out.expect("functional output")));
+        })
+        .unwrap();
+    }
+    let verdict = Arc::new(Mutex::new(None));
+    let (h, v) = (handle.clone(), verdict.clone());
+    sim.spawn("rogue", move |ctx| {
+        h.ready.wait(ctx);
+        *v.lock() = Some(rogue(ctx, &h));
+    });
+    let (h, dev) = (handle.clone(), device.clone());
+    sim.spawn("supervisor", move |ctx| {
+        h.done.wait(ctx);
+        dev.shutdown(ctx);
+    });
+    let tracer = sim.tracer();
+    sim.run().unwrap();
+    let mut honest = honest.lock().clone();
+    honest.sort_by_key(|(r, _)| *r);
+    let rogue = verdict.lock().take().expect("rogue ran");
+    let stats = handle.stats.lock().clone();
+    RogueOutcome {
+        rogue,
+        honest,
+        stats,
+        fault_labels: tracer
+            .fault_events()
+            .iter()
+            .map(|e| e.label.clone())
+            .collect(),
+    }
+}
+
+/// The request queue is shared, so a client can claim any rank. A request
+/// naming a rank the GVM does not serve is dropped with a `bad-rank` fault
+/// instead of indexing past the rank table, and every real rank finishes.
+#[test]
+fn out_of_range_rank_is_dropped() {
+    let n = 4;
+    let out = run_with_rogue(GvmConfig::new(n), n, None, move |ctx, h| {
+        let q = h.req_mq.open(&h.endpoints.request_queue()).unwrap();
+        q.send(ctx, Request::new(n + 3, RequestKind::Req, 1))
+            .unwrap();
+        Ok(())
+    });
+    assert_eq!(out.rogue, Ok(()));
+    assert_eq!(out.honest.len(), n);
+    out.assert_honest_match_direct(n);
+    assert!(out
+        .fault_labels
+        .iter()
+        .any(|l| l == &format!("bad-rank:{}", n + 3)));
+    assert_eq!(out.stats.naks, 0);
+}
+
+/// Drive rank `rank` through `stages` (stopping at the first refusal) on a
+/// GVM built from `config`; the other ranks run honestly.
+fn stage_order_violation(config: GvmConfig, stages: &'static [RequestKind]) -> RogueOutcome {
+    let (n, rank) = (4, 2);
+    run_with_rogue(config, n, Some(rank), move |ctx, h| {
+        let client = VgpuClient::connect(ctx, h, rank);
+        for stage in stages {
+            match stage {
+                RequestKind::Req => client.try_req(ctx)?,
+                RequestKind::Snd => client.try_snd(ctx)?,
+                RequestKind::Str => client.try_str(ctx)?,
+                RequestKind::Rcv => client.try_rcv(ctx).map(|_| ())?,
+                other => panic!("unscripted stage {other:?}"),
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Assert `out` refused the rogue at `stage` with a protocol NAK, evicted
+/// it, and left the co-tenants bitwise equal to Direct.
+fn assert_protocol_nak(out: &RogueOutcome, stage: RequestKind) {
+    assert_eq!(
+        out.rogue,
+        Err(TaskError::Rejected {
+            stage,
+            reason: NakReason::Protocol
+        })
+    );
+    assert_eq!(out.stats.evictions, 1);
+    assert_eq!(out.stats.naks, 1);
+    assert!(out.fault_labels.iter().any(|l| l == "protocol-nak:rank2"));
+    assert_eq!(out.honest.len(), 3);
+    out.assert_honest_match_direct(4);
+}
+
+/// `STR` before the rank's `SND` on the staged path: there is no input
+/// lease to upload from.
+#[test]
+fn str_before_snd_is_a_protocol_nak() {
+    let out = stage_order_violation(GvmConfig::new(4), &[RequestKind::Req, RequestKind::Str]);
+    assert_protocol_nak(&out, RequestKind::Str);
+}
+
+/// `STR` before allocation on a lazy-allocation GVM (zero-copy, so the
+/// input lease exists): there is no device memory to run on.
+#[test]
+fn str_before_allocation_is_a_protocol_nak() {
+    let out = stage_order_violation(
+        GvmConfig::fault_tolerant(4).with_mem(MemConfig::zero_copy()),
+        &[RequestKind::Req, RequestKind::Str],
+    );
+    assert_protocol_nak(&out, RequestKind::Str);
+}
+
+/// `RCV` before any flush on the staged path: there is no output lease to
+/// copy results from.
+#[test]
+fn rcv_before_flush_is_a_protocol_nak() {
+    let out = stage_order_violation(
+        GvmConfig::new(4),
+        &[RequestKind::Req, RequestKind::Snd, RequestKind::Rcv],
+    );
+    assert_protocol_nak(&out, RequestKind::Rcv);
 }

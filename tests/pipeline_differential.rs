@@ -31,8 +31,7 @@ fn mem_configs() -> Vec<(String, MemConfig)> {
 }
 
 /// The adaptive-k / steady-state matrix layered on top: model-driven chunk
-/// counts, iteration-overlapped prefetch, and the first-round-only
-/// ablation schedule must all stay semantics-free too.
+/// counts and iteration-overlapped prefetch must stay semantics-free too.
 fn steady_configs() -> Vec<(String, MemConfig)> {
     let mut v = Vec::new();
     for cap in [2usize, 4, 8] {
@@ -45,10 +44,6 @@ fn steady_configs() -> Vec<(String, MemConfig)> {
     v.push((
         "chunked-4-steady".to_string(),
         MemConfig::pipelined(4, 64).with_steady(),
-    ));
-    v.push((
-        "first-round-only".to_string(),
-        MemConfig::pipelined(4, 64).with_first_round_only(),
     ));
     v
 }
@@ -122,8 +117,8 @@ fn chunked_and_pooled_match_direct_baseline_bitwise() {
 
 /// Steady state is a scheduling change, never a data change: every rank
 /// repeating its SND→STR→STP→RCV cycle for several rounds inside one
-/// session — with iteration-overlapped prefetch, adaptive chunk counts,
-/// or the first-round-only ablation — produces output bit-identical to
+/// session — with iteration-overlapped prefetch or adaptive chunk
+/// counts — produces output bit-identical to
 /// the single-round direct baseline (each round recomputes the same
 /// result, so the last round's RCV must match round one's).
 #[test]
@@ -153,7 +148,7 @@ fn multi_round_steady_state_matches_direct_baseline_bitwise() {
 
 /// The steady-state matrix really prefetches (it isn't just re-running the
 /// per-round path): a multi-round steady run reports pre-issued uploads,
-/// and the first-round-only ablation reports none.
+/// and the same chunking without steady overlap reports none.
 #[test]
 fn steady_matrix_exercises_the_prefetch_path() {
     let base = Scenario::default();
@@ -168,15 +163,15 @@ fn steady_matrix_exercises_the_prefetch_path() {
         gvm.steady_prefetches > 0,
         "multi-round steady run must pre-issue next-round uploads"
     );
-    let ablated = base
+    let per_round = base
         .clone()
-        .with_mem(MemConfig::pipelined(3, 64).with_first_round_only())
+        .with_mem(MemConfig::pipelined(3, 64))
         .with_rounds(3);
-    let r = ablated.run(ExecutionMode::Virtualized, tasks);
+    let r = per_round.run(ExecutionMode::Virtualized, tasks);
     let gvm = r.gvm.expect("virtualized run has GVM stats");
     assert_eq!(
         gvm.steady_prefetches, 0,
-        "the ablation schedule never pre-issues"
+        "without steady overlap nothing is pre-issued across rounds"
     );
 }
 
@@ -318,8 +313,7 @@ proptest! {
     }
 
     /// Fixed (non-adaptive) configs obey the same bounds through the same
-    /// entry point, and the first-round-only ablation flag never changes
-    /// what the chooser itself returns (the schedule is the GVM's job).
+    /// entry point.
     #[test]
     fn fixed_k_respects_threshold_and_cap(
         cap in 1usize..=16,
@@ -334,7 +328,5 @@ proptest! {
         if payload < cfg.threshold {
             prop_assert_eq!(k, 1);
         }
-        let ablated = cfg.with_first_round_only();
-        prop_assert_eq!(chooser.choose(payload, &ablated), k);
     }
 }
