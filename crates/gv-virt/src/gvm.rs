@@ -395,13 +395,17 @@ struct MemLayer {
 }
 
 impl MemLayer {
-    /// Choose a chunk count for `payload`, tile it into
-    /// [`spans`](Self::spans), allocate a transfer-group id, and commit
-    /// the plan to the analysis stream (so the staging checker holds the
-    /// transfer to exactly that tiling); returns the id. Callers must
-    /// stage/record every planned span.
-    fn plan(&mut self, tracer: &gv_sim::Tracer, rank: usize, payload: u64) -> u64 {
-        let k = self.chooser.choose(payload, &self.mem.pipeline);
+    /// The chunk count for a `payload`-byte transfer — the one decision
+    /// every DMA path makes before it plans.
+    fn choose(&self, payload: u64) -> u64 {
+        self.chooser.choose(payload, &self.mem.pipeline)
+    }
+
+    /// Tile `payload` into `k` [`spans`](Self::spans), allocate a
+    /// transfer-group id, and commit the plan to the analysis stream (so
+    /// the staging checker holds the transfer to exactly that tiling);
+    /// returns the id. Callers must stage/record every planned span.
+    fn plan(&mut self, tracer: &gv_sim::Tracer, rank: usize, payload: u64, k: u64) -> u64 {
         PipelineConfig::plan_exact_into(payload, k, &mut self.spans);
         // Tracer-global id: co-resident GVMs share one analysis stream.
         let xfer = tracer.alloc_xfer_id();
@@ -419,10 +423,10 @@ impl MemLayer {
         xfer
     }
 
-    /// Plan `dma`'s payload and issue every span as an async copy; returns
-    /// the span count.
-    fn submit(&mut self, ctx: &mut Ctx, cc: &gv_cuda::CudaContext, dma: &Dma<'_>) -> u64 {
-        let xfer = self.plan(ctx.tracer(), dma.rank, dma.payload);
+    /// Plan `dma`'s payload as `k` spans and issue every span as an async
+    /// copy; returns the span count.
+    fn submit(&mut self, ctx: &mut Ctx, cc: &gv_cuda::CudaContext, dma: &Dma<'_>, k: u64) -> u64 {
+        let xfer = self.plan(ctx.tracer(), dma.rank, dma.payload, k);
         for span in &self.spans {
             dma.span(ctx, cc, xfer, *span, true);
         }
@@ -1155,7 +1159,8 @@ impl GvmCore {
             dev: ptr,
             payload: bytes,
         };
-        self.ml.submit(ctx, &self.contexts[dev_idx], &dma);
+        let k = self.ml.choose(bytes);
+        self.ml.submit(ctx, &self.contexts[dev_idx], &dma, k);
         self.contexts[dev_idx].stream_synchronize(ctx, stream);
         ctx.tracer()
             .record_analysis(gv_sim::AnalysisRecord::SwapIn {
@@ -1177,7 +1182,8 @@ impl GvmCore {
     /// through the same chunked planner as payload transfers, so the
     /// staging checker audits their tiling too.
     fn zero_fill(&mut self, ctx: &mut Ctx, r: usize, ptr: DevicePtr, bytes: u64) {
-        let xfer = self.ml.plan(ctx.tracer(), r, bytes);
+        let k = self.ml.choose(bytes);
+        let xfer = self.ml.plan(ctx.tracer(), r, bytes, k);
         let zeros = vec![0u8; bytes as usize];
         let device = self.cudas[self.ranks[r].dev_idx].device();
         for span in &self.ml.spans {
@@ -1243,7 +1249,8 @@ impl GvmCore {
                 dev: vptr,
                 payload: vbytes,
             };
-            self.ml.submit(ctx, &self.contexts[dev_idx], &dma);
+            let k = self.ml.choose(vbytes);
+            self.ml.submit(ctx, &self.contexts[dev_idx], &dma, k);
             self.contexts[dev_idx].stream_synchronize(ctx, stream);
             let _ = self.cudas[dev_idx].device().free(vptr);
             ctx.tracer()
@@ -1306,7 +1313,8 @@ impl GvmCore {
             // H2D issues straight from the lease; every span is handed to
             // the copy engine now, ahead of the kernels on the same
             // in-order stream, so the flush skips iteration 0's upload.
-            self.submit_spans(ctx, r, true, bytes);
+            let k = self.ml.choose(bytes);
+            self.submit_spans(ctx, r, true, bytes, k);
             self.ranks[r].h2d_preissued = true;
         }
         send_recorded(ctx, &mut self.ranks[r], Response::ack(req.seq));
@@ -1352,7 +1360,8 @@ impl GvmCore {
                 }
                 *slot = Some(lease);
             }
-            let xfer = self.ml.plan(ctx.tracer(), r, bytes);
+            let k = self.ml.choose(bytes);
+            let xfer = self.ml.plan(ctx.tracer(), r, bytes, k);
             let chunked = self.ml.spans.len() > 1;
             let rank = &self.ranks[r];
             let dma = Dma {
@@ -1822,7 +1831,7 @@ impl GvmCore {
         let mut dma_ops = 0u64;
         for it in 0..iterations {
             if bytes_in > 0 && !(it == 0 && preissued) {
-                let k = self.ml.chooser.choose(bytes_in, &self.ml.mem.pipeline);
+                let k = self.ml.choose(bytes_in);
                 dma_ops += self.submit_h2d(ctx, r, bytes_in, k);
             }
             let rank = &self.ranks[r];
@@ -1838,7 +1847,8 @@ impl GvmCore {
             // skipping the intermediate drains leaves the final output
             // bit-identical.
             if bytes_out > 0 && (!zc || it + 1 == iterations) {
-                dma_ops += self.submit_d2h(ctx, r, bytes_out);
+                let k = self.ml.choose(bytes_out);
+                dma_ops += self.submit_spans(ctx, r, false, bytes_out, k);
             }
         }
         // Steady mode pins this round's completion point now, before any
@@ -1857,7 +1867,7 @@ impl GvmCore {
     /// submissions made.
     fn submit_h2d(&mut self, ctx: &mut Ctx, r: usize, bytes: u64, k: u64) -> u64 {
         if k > 1 {
-            return self.submit_spans(ctx, r, true, bytes);
+            return self.submit_spans(ctx, r, true, bytes, k);
         }
         let rank = &self.ranks[r];
         let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
@@ -1868,17 +1878,12 @@ impl GvmCore {
         1
     }
 
-    /// Drain rank `r`'s `bytes` of output as planned spans, so early
-    /// chunks overlap compute still queued on other ranks' streams.
-    /// Returns the DMA submissions made.
-    fn submit_d2h(&mut self, ctx: &mut Ctx, r: usize, bytes: u64) -> u64 {
-        self.submit_spans(ctx, r, false, bytes)
-    }
-
-    /// Plan rank `r`'s `bytes` in one direction, issue every span from or
-    /// into the rank's staging lease, and count a split transfer in the
-    /// chunk stats. Returns the span count.
-    fn submit_spans(&mut self, ctx: &mut Ctx, r: usize, h2d: bool, bytes: u64) -> u64 {
+    /// Plan rank `r`'s `bytes` in one direction as `k` spans, issue every
+    /// span from or into the rank's staging lease, and count a split
+    /// transfer in the chunk stats. Returns the span count. Output drains
+    /// always go through here, so early chunks overlap compute still
+    /// queued on other ranks' streams.
+    fn submit_spans(&mut self, ctx: &mut Ctx, r: usize, h2d: bool, bytes: u64, k: u64) -> u64 {
         let rank = &self.ranks[r];
         let dev_base = rank.gpu.as_ref().expect("rank allocated").dev_base;
         let dma = Dma {
@@ -1893,7 +1898,7 @@ impl GvmCore {
             },
             payload: bytes,
         };
-        let spans = self.ml.submit(ctx, &self.contexts[rank.dev_idx], &dma);
+        let spans = self.ml.submit(ctx, &self.contexts[rank.dev_idx], &dma, k);
         if spans > 1 {
             let mut stats = self.h.stats.lock();
             stats.chunked_transfers += 1;
@@ -1994,7 +1999,7 @@ impl GvmCore {
             let x = WaveXfer {
                 r,
                 bytes,
-                k: self.ml.chooser.choose(bytes, &self.ml.mem.pipeline),
+                k: self.ml.choose(bytes),
             };
             match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
                 Some((_, v)) => v.push(x),
@@ -2016,7 +2021,7 @@ impl GvmCore {
                     tally.dma_ops += if h2d {
                         self.submit_h2d(ctx, x.r, x.bytes, x.k)
                     } else {
-                        self.submit_d2h(ctx, x.r, x.bytes)
+                        self.submit_spans(ctx, x.r, false, x.bytes, x.k)
                     };
                     continue;
                 }

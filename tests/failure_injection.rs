@@ -11,10 +11,9 @@
 
 use gvirt::cuda::{CudaDevice, CudaError, HostBuffer};
 use gvirt::gpu::{DeviceConfig, GpuDevice, MemError};
-use gvirt::harness::scenario::{ExecutionMode, Scenario};
 use gvirt::ipc::{AffinityError, Node, NodeConfig};
 use gvirt::kernels::vecadd;
-use gvirt::sim::{SimDuration, SimError, SimTime, Simulation};
+use gvirt::sim::{Ctx, SimDuration, SimError, SimTime, Simulation};
 use gvirt::virt::{
     run_direct_abortable, ClientPolicy, FaultPlan, FaultSpec, Gvm, GvmConfig, GvmHandle, MemConfig,
     NakReason, QueueSel, Request, RequestKind, TaskError, VgpuClient,
@@ -203,6 +202,8 @@ struct FtOutcome {
     /// Every trace event as `"<ns> <category> <label>"` lines.
     full_trace: Vec<String>,
     inputs: Vec<(Vec<f32>, Vec<f32>)>,
+    /// The [`Rogue`]'s own verdict, if one ran.
+    rogue: Option<Result<(), TaskError>>,
 }
 
 impl FtOutcome {
@@ -211,8 +212,11 @@ impl FtOutcome {
     }
 
     fn assert_rank_output_correct(&self, rank: usize) {
-        let (r, res) = &self.results[rank];
-        assert_eq!(*r, rank);
+        let (_, res) = self
+            .results
+            .iter()
+            .find(|(r, _)| *r == rank)
+            .unwrap_or_else(|| panic!("rank {rank} did not run"));
         let bytes = res
             .as_ref()
             .unwrap_or_else(|e| panic!("rank {rank} failed: {e}"))
@@ -235,8 +239,25 @@ impl FtOutcome {
     }
 }
 
-/// Run `n` fault-tolerant ranks of functional vecadd under `plan`.
-fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOutcome {
+/// A misbehaving process started once the GVM is ready: it forges
+/// requests of its own (`rank: None`) or connects as `rank`, whose honest
+/// run it replaces. It returns its own verdict.
+struct Rogue {
+    rank: Option<usize>,
+    #[allow(clippy::type_complexity)]
+    run: Box<dyn FnOnce(&mut Ctx, &GvmHandle) -> Result<(), TaskError> + Send>,
+}
+
+/// Run `config.ntask` ranks of functional vecadd on a GVM built from
+/// `config`, under `plan`, alongside an optional `rogue`.
+fn run_ft(
+    config: GvmConfig,
+    plan: &FaultPlan,
+    policy: ClientPolicy,
+    trace: bool,
+    rogue: Option<Rogue>,
+) -> FtOutcome {
+    let n = config.ntask;
     let mut sim = Simulation::new();
     let cfg = DeviceConfig::tesla_c2070_paper();
     let device = GpuDevice::install(&mut sim, cfg.clone());
@@ -247,14 +268,15 @@ fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOu
         .iter()
         .map(|(a, b)| vecadd::functional_task(&cfg, a, b))
         .collect();
-    let handle = Gvm::install(&mut sim, &node, &cuda, GvmConfig::fault_tolerant(n), tasks);
+    let handle = Gvm::install(&mut sim, &node, &cuda, config, tasks);
     plan.install(&handle, &device);
     if trace {
         sim.tracer().set_enabled(true);
     }
     type Results = Arc<Mutex<Vec<(usize, Result<Option<Vec<u8>>, TaskError>)>>>;
     let results: Results = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..n {
+    let rogue_rank = rogue.as_ref().and_then(|g| g.rank);
+    for rank in (0..n).filter(|&r| Some(r) != rogue_rank) {
         let handle = handle.clone();
         let results = results.clone();
         let policy = policy.clone();
@@ -268,6 +290,14 @@ fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOu
             results.lock().push((rank, res));
         })
         .unwrap();
+    }
+    let verdict = Arc::new(Mutex::new(None));
+    if let Some(rogue) = rogue {
+        let (h, v) = (handle.clone(), verdict.clone());
+        sim.spawn("rogue", move |ctx| {
+            h.ready.wait(ctx);
+            *v.lock() = Some((rogue.run)(ctx, &h));
+        });
     }
     let h2 = handle.clone();
     let dev2 = device.clone();
@@ -292,6 +322,7 @@ fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOu
         .unwrap_or_else(|_| panic!("client still holds results"))
         .into_inner();
     results.sort_by_key(|(r, _)| *r);
+    let rogue = verdict.lock().take();
     FtOutcome {
         results,
         handle,
@@ -299,6 +330,7 @@ fn run_ft(n: usize, plan: &FaultPlan, policy: ClientPolicy, trace: bool) -> FtOu
         fault_labels,
         full_trace,
         inputs,
+        rogue,
     }
 }
 
@@ -316,7 +348,7 @@ fn gvm_survives_client_abort_at_every_stage() {
             stage,
         });
         let policy = ClientPolicy::with_timeout(SimDuration::from_millis(50), 5);
-        let out = run_ft(n, &plan, policy, false);
+        let out = run_ft(GvmConfig::fault_tolerant(n), &plan, policy, false, None);
 
         assert_eq!(
             out.results[victim].1,
@@ -451,7 +483,7 @@ fn bounded_request_queue_backpressure_completes() {
 fn oom_mid_snd_evicts_only_the_loser() {
     let plan = FaultPlan::new(2).push(FaultSpec::DeviceOom { nth_alloc: 1 });
     let policy = ClientPolicy::with_timeout(SimDuration::from_millis(10), 3);
-    let out = run_ft(2, &plan, policy, true);
+    let out = run_ft(GvmConfig::fault_tolerant(2), &plan, policy, true, None);
 
     let rejected: Vec<usize> = out
         .results
@@ -489,7 +521,7 @@ fn dropped_response_is_resent_from_the_dedup_cache() {
         nth: 0,
     });
     let policy = ClientPolicy::with_timeout(SimDuration::from_millis(5), 3);
-    let out = run_ft(1, &plan, policy, true);
+    let out = run_ft(GvmConfig::fault_tolerant(1), &plan, policy, true, None);
     out.assert_rank_output_correct(0);
     let stats = out.stats();
     assert!(stats.dedup_hits >= 1, "retry must hit the dedup cache");
@@ -507,7 +539,7 @@ fn dropped_request_is_retried_and_reprocessed() {
         nth: 2,
     });
     let policy = ClientPolicy::with_timeout(SimDuration::from_millis(5), 3);
-    let out = run_ft(1, &plan, policy, true);
+    let out = run_ft(GvmConfig::fault_tolerant(1), &plan, policy, true, None);
     out.assert_rank_output_correct(0);
     let stats = out.stats();
     assert_eq!(stats.flushes, 1);
@@ -530,7 +562,7 @@ fn duplicated_messages_are_deduplicated() {
             nth: 0,
         });
     let policy = ClientPolicy::with_timeout(SimDuration::from_millis(10), 3);
-    let out = run_ft(1, &plan, policy, true);
+    let out = run_ft(GvmConfig::fault_tolerant(1), &plan, policy, true, None);
     out.assert_rank_output_correct(0);
     let stats = out.stats();
     assert!(stats.dedup_hits >= 1, "duplicate SND must be deduplicated");
@@ -554,7 +586,7 @@ fn delayed_message_is_absorbed_by_the_deadline() {
         delay: SimDuration::from_millis(2),
     });
     let policy = ClientPolicy::with_timeout(SimDuration::from_millis(10), 3);
-    let out = run_ft(1, &plan, policy, true);
+    let out = run_ft(GvmConfig::fault_tolerant(1), &plan, policy, true, None);
     out.assert_rank_output_correct(0);
     let stats = out.stats();
     assert_eq!(stats.dedup_hits, 0, "no retry should have been needed");
@@ -572,7 +604,7 @@ fn shm_corruption_shows_up_in_the_output() {
         nth_write: 0,
     });
     let policy = ClientPolicy::with_timeout(SimDuration::from_millis(10), 3);
-    let out = run_ft(1, &plan, policy, true);
+    let out = run_ft(GvmConfig::fault_tolerant(1), &plan, policy, true, None);
     let bytes = out.results[0]
         .1
         .as_ref()
@@ -609,8 +641,14 @@ fn acceptance_eight_rank_abort_replays_identical_trace() {
     assert_eq!(plan, authored);
 
     let policy = ClientPolicy::with_timeout(SimDuration::from_millis(50), 5);
-    let first = run_ft(8, &plan, policy.clone(), true);
-    let second = run_ft(8, &plan, policy, true);
+    let first = run_ft(
+        GvmConfig::fault_tolerant(8),
+        &plan,
+        policy.clone(),
+        true,
+        None,
+    );
+    let second = run_ft(GvmConfig::fault_tolerant(8), &plan, policy, true, None);
 
     assert_eq!(
         first.results[victim].1,
@@ -642,179 +680,113 @@ fn acceptance_eight_rank_abort_replays_identical_trace() {
 // request must never take down its co-tenants.
 // ---------------------------------------------------------------------------
 
-/// What a misbehaving-client run leaves behind.
-struct RogueOutcome {
-    /// The rogue process's own verdict.
-    rogue: Result<(), TaskError>,
-    /// Honest ranks' outputs, by rank.
-    honest: Vec<(usize, Vec<u8>)>,
-    stats: gvirt::virt::GvmStats,
-    fault_labels: Vec<String>,
-}
-
-impl RogueOutcome {
-    /// Every honest rank's output is bitwise what the same rank computes
-    /// in Direct mode.
-    fn assert_honest_match_direct(&self, n: usize) {
-        let tasks: Vec<_> = ft_inputs(n)
-            .iter()
-            .map(|(a, b)| vecadd::functional_task(&DeviceConfig::tesla_c2070_paper(), a, b))
-            .collect();
-        let direct = Scenario::default().run(ExecutionMode::Direct, tasks);
-        assert!(!self.honest.is_empty());
-        for (rank, out) in &self.honest {
-            let want = direct.outputs[*rank].as_ref().expect("functional output");
-            assert_eq!(out, want, "honest rank {rank} differs from Direct");
-        }
-    }
-}
-
-/// Run `n` ranks of functional vecadd on a GVM built from `config`. Every
-/// rank except `rogue_rank` runs the full protocol; one extra process runs
-/// `rogue` once the GVM is ready (it may connect as `rogue_rank` or forge
-/// requests of its own).
-fn run_with_rogue(
-    config: GvmConfig,
-    n: usize,
-    rogue_rank: Option<usize>,
-    rogue: impl FnOnce(&mut gvirt::sim::Ctx, &GvmHandle) -> Result<(), TaskError> + Send + 'static,
-) -> RogueOutcome {
-    let mut sim = Simulation::new();
-    sim.tracer().set_enabled(true);
-    let cfg = DeviceConfig::tesla_c2070_paper();
-    let device = GpuDevice::install(&mut sim, cfg.clone());
-    let cuda = CudaDevice::new(device.clone());
-    let node = Node::new(NodeConfig::dual_xeon_x5560());
-    let tasks: Vec<_> = ft_inputs(n)
-        .iter()
-        .map(|(a, b)| vecadd::functional_task(&cfg, a, b))
-        .collect();
-    let handle = Gvm::install(&mut sim, &node, &cuda, config, tasks);
-    type Outputs = Arc<Mutex<Vec<(usize, Vec<u8>)>>>;
-    let honest: Outputs = Arc::new(Mutex::new(Vec::new()));
-    for rank in (0..n).filter(|&r| Some(r) != rogue_rank) {
-        let handle = handle.clone();
-        let honest = honest.clone();
-        node.spawn_pinned(&mut sim, rank, &format!("spmd-{rank}"), move |ctx| {
-            let client = VgpuClient::connect(ctx, &handle, rank);
-            let (_run, out) = client.run_task(ctx);
-            honest.lock().push((rank, out.expect("functional output")));
-        })
-        .unwrap();
-    }
-    let verdict = Arc::new(Mutex::new(None));
-    let (h, v) = (handle.clone(), verdict.clone());
-    sim.spawn("rogue", move |ctx| {
-        h.ready.wait(ctx);
-        *v.lock() = Some(rogue(ctx, &h));
-    });
-    let (h, dev) = (handle.clone(), device.clone());
-    sim.spawn("supervisor", move |ctx| {
-        h.done.wait(ctx);
-        dev.shutdown(ctx);
-    });
-    let tracer = sim.tracer();
-    sim.run().unwrap();
-    let mut honest = honest.lock().clone();
-    honest.sort_by_key(|(r, _)| *r);
-    let rogue = verdict.lock().take().expect("rogue ran");
-    let stats = handle.stats.lock().clone();
-    RogueOutcome {
-        rogue,
-        honest,
-        stats,
-        fault_labels: tracer
-            .fault_events()
-            .iter()
-            .map(|e| e.label.clone())
-            .collect(),
-    }
-}
-
 /// The request queue is shared, so a client can claim any rank. A request
 /// naming a rank the GVM does not serve is dropped with a `bad-rank` fault
-/// instead of indexing past the rank table, and every real rank finishes.
+/// instead of indexing past the rank table, and every real rank finishes
+/// bit-exact.
 #[test]
 fn out_of_range_rank_is_dropped() {
     let n = 4;
-    let out = run_with_rogue(GvmConfig::new(n), n, None, move |ctx, h| {
-        let q = h.req_mq.open(&h.endpoints.request_queue()).unwrap();
-        q.send(ctx, Request::new(n + 3, RequestKind::Req, 1))
-            .unwrap();
-        Ok(())
-    });
-    assert_eq!(out.rogue, Ok(()));
-    assert_eq!(out.honest.len(), n);
-    out.assert_honest_match_direct(n);
-    assert!(out
-        .fault_labels
-        .iter()
-        .any(|l| l == &format!("bad-rank:{}", n + 3)));
-    assert_eq!(out.stats.naks, 0);
+    let rogue = Rogue {
+        rank: None,
+        run: Box::new(move |ctx, h| {
+            let q = h.req_mq.open(&h.endpoints.request_queue()).unwrap();
+            q.send(ctx, Request::new(n + 3, RequestKind::Req, 1))
+                .unwrap();
+            Ok(())
+        }),
+    };
+    let out = run_ft(
+        GvmConfig::new(n),
+        &FaultPlan::new(0),
+        ClientPolicy::default(),
+        true,
+        Some(rogue),
+    );
+    assert_eq!(out.rogue, Some(Ok(())));
+    for rank in 0..n {
+        out.assert_rank_output_correct(rank);
+    }
+    assert!(out.has_fault_event(&format!("bad-rank:{}", n + 3)));
+    assert_eq!(out.stats().naks, 0);
 }
 
-/// Drive rank `rank` through `stages` (stopping at the first refusal) on a
-/// GVM built from `config`; the other ranks run honestly.
-fn stage_order_violation(config: GvmConfig, stages: &'static [RequestKind]) -> RogueOutcome {
-    let (n, rank) = (4, 2);
-    run_with_rogue(config, n, Some(rank), move |ctx, h| {
-        let client = VgpuClient::connect(ctx, h, rank);
-        for stage in stages {
-            match stage {
-                RequestKind::Req => client.try_req(ctx)?,
-                RequestKind::Snd => client.try_snd(ctx)?,
-                RequestKind::Str => client.try_str(ctx)?,
-                RequestKind::Rcv => client.try_rcv(ctx).map(|_| ())?,
-                other => panic!("unscripted stage {other:?}"),
+/// Drive rank 2 of 4 through `stages` (stopping at the first refusal) on a
+/// GVM built from `config` while the other ranks run honestly, and assert
+/// it was refused at `stage` with a protocol NAK and evicted, and that the
+/// co-tenants finished bit-exact.
+fn assert_protocol_nak(config: GvmConfig, stages: &'static [RequestKind], stage: RequestKind) {
+    let rank = 2;
+    let rogue = Rogue {
+        rank: Some(rank),
+        run: Box::new(move |ctx, h| {
+            let client = VgpuClient::connect(ctx, h, rank);
+            for stage in stages {
+                match stage {
+                    RequestKind::Req => client.try_req(ctx)?,
+                    RequestKind::Snd => client.try_snd(ctx)?,
+                    RequestKind::Str => client.try_str(ctx)?,
+                    RequestKind::Rcv => client.try_rcv(ctx).map(|_| ())?,
+                    other => panic!("unscripted stage {other:?}"),
+                }
             }
-        }
-        Ok(())
-    })
-}
-
-/// Assert `out` refused the rogue at `stage` with a protocol NAK, evicted
-/// it, and left the co-tenants bitwise equal to Direct.
-fn assert_protocol_nak(out: &RogueOutcome, stage: RequestKind) {
+            Ok(())
+        }),
+    };
+    let n = config.ntask;
+    let out = run_ft(
+        config,
+        &FaultPlan::new(0),
+        ClientPolicy::default(),
+        true,
+        Some(rogue),
+    );
     assert_eq!(
         out.rogue,
-        Err(TaskError::Rejected {
+        Some(Err(TaskError::Rejected {
             stage,
             reason: NakReason::Protocol
-        })
+        }))
     );
-    assert_eq!(out.stats.evictions, 1);
-    assert_eq!(out.stats.naks, 1);
-    assert!(out.fault_labels.iter().any(|l| l == "protocol-nak:rank2"));
-    assert_eq!(out.honest.len(), 3);
-    out.assert_honest_match_direct(4);
+    let stats = out.stats();
+    assert_eq!(stats.evictions, 1);
+    assert_eq!(stats.naks, 1);
+    assert!(out.has_fault_event(&format!("protocol-nak:rank{rank}")));
+    assert_eq!(out.results.len(), n - 1);
+    for r in (0..n).filter(|&r| r != rank) {
+        out.assert_rank_output_correct(r);
+    }
 }
 
 /// `STR` before the rank's `SND` on the staged path: there is no input
 /// lease to upload from.
 #[test]
 fn str_before_snd_is_a_protocol_nak() {
-    let out = stage_order_violation(GvmConfig::new(4), &[RequestKind::Req, RequestKind::Str]);
-    assert_protocol_nak(&out, RequestKind::Str);
+    assert_protocol_nak(
+        GvmConfig::new(4),
+        &[RequestKind::Req, RequestKind::Str],
+        RequestKind::Str,
+    );
 }
 
 /// `STR` before allocation on a lazy-allocation GVM (zero-copy, so the
 /// input lease exists): there is no device memory to run on.
 #[test]
 fn str_before_allocation_is_a_protocol_nak() {
-    let out = stage_order_violation(
+    assert_protocol_nak(
         GvmConfig::fault_tolerant(4).with_mem(MemConfig::zero_copy()),
         &[RequestKind::Req, RequestKind::Str],
+        RequestKind::Str,
     );
-    assert_protocol_nak(&out, RequestKind::Str);
 }
 
 /// `RCV` before any flush on the staged path: there is no output lease to
 /// copy results from.
 #[test]
 fn rcv_before_flush_is_a_protocol_nak() {
-    let out = stage_order_violation(
+    assert_protocol_nak(
         GvmConfig::new(4),
         &[RequestKind::Req, RequestKind::Snd, RequestKind::Rcv],
+        RequestKind::Rcv,
     );
-    assert_protocol_nak(&out, RequestKind::Rcv);
 }
