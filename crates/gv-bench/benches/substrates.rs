@@ -4,7 +4,26 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gv_gpu::DeviceMemory;
 use gv_kernels::{blackscholes, cg, ep, mg};
-use gv_sim::{SimChannel, SimDuration, Simulation};
+use gv_sim::{SimChannel, SimDuration, Simulation, Summary};
+
+/// Scheduling steps per hold fan-out run.
+const FANOUT_EVENTS: u64 = 400_000;
+
+/// `procs` processes that each hold until the run has taken about
+/// [`FANOUT_EVENTS`] steps. Hold lengths are staggered per process so the
+/// timer heap, not just the run queue, orders the wakes.
+fn hold_fanout(procs: u64) -> Summary {
+    let holds = FANOUT_EVENTS / procs - 1;
+    let mut sim = Simulation::new();
+    for p in 0..procs {
+        sim.spawn(&format!("p{p}"), move |ctx| {
+            for k in 0..holds {
+                ctx.hold(SimDuration::from_nanos(1 + (p * 7 + k) % 13));
+            }
+        });
+    }
+    sim.run().unwrap()
+}
 
 fn sim_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_engine");
@@ -40,6 +59,15 @@ fn sim_engine(c: &mut Criterion) {
             sim.run().unwrap()
         })
     });
+    // Event throughput against process count: divide ms/iter by the
+    // printed step count for µs/event.
+    g.sample_size(3);
+    for procs in [16u64, 512, 4096] {
+        let events = hold_fanout(procs).events_processed;
+        g.bench_function(&format!("hold_fanout_{procs}p_{events}_events"), |b| {
+            b.iter(|| hold_fanout(procs))
+        });
+    }
     g.finish();
 }
 

@@ -3,8 +3,11 @@
 //! The execution substrate for the GPU-virtualization reproduction: a
 //! SimPy-style process-oriented discrete-event simulator. Simulation
 //! *processes* are ordinary Rust closures running on dedicated threads, but
-//! the engine resumes exactly one at a time, so execution is deterministic
-//! and all shared state is effectively single-threaded.
+//! exactly one runs at a time, so execution is deterministic and all shared
+//! state is effectively single-threaded. There is no engine thread in the
+//! loop: a process that yields takes the scheduling step itself and hands
+//! control directly to its successor (or keeps it, when the step picks it
+//! again), so an event costs at most one thread switch. See [`kernel`].
 //!
 //! ```
 //! use gv_sim::{Simulation, SimDuration};
@@ -20,7 +23,8 @@
 //!
 //! Modules:
 //! * [`time`] — `SimTime` / `SimDuration` (nanosecond clock)
-//! * [`kernel`] — the engine ([`Simulation`]) and process lifecycle
+//! * [`kernel`] — the engine ([`Simulation`]): scheduling step, direct
+//!   hand-off between process threads, process lifecycle
 //! * [`process`] — the per-process handle ([`Ctx`])
 //! * [`sync`] — semaphores, condition queues, barriers, gates
 //! * [`channel`] — blocking MPMC channels

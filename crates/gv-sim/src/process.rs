@@ -1,19 +1,17 @@
 //! The process-side handle, [`Ctx`].
 //!
 //! A `Ctx` is handed to every process closure. All blocking operations
-//! (`hold`, `park`, `park_timeout`) yield control back to the engine; all
-//! other operations mutate shared kernel state directly and return without
+//! (`hold`, `park`, `park_timeout`) are yields: the process takes the
+//! scheduling step itself and hands control to whichever process it picks
+//! (possibly itself, in which case it simply continues). All other
+//! operations mutate shared kernel state directly and return without
 //! yielding, so a process observes no interleaving between two consecutive
 //! non-yielding calls.
 
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
-
 use crate::clock::VClock;
-use crate::kernel::{
-    KernelShared, Pid, Terminated, WaitCause, WaitKind, WakeReason, YieldMsg, YieldOp,
-};
+use crate::kernel::{KernelShared, Pid, ResumeCell, WaitCause, WaitKind, WakeReason, YieldOp};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 
@@ -22,47 +20,17 @@ use crate::trace::Tracer;
 pub struct Ctx {
     shared: Arc<KernelShared>,
     pid: Pid,
-    resume_rx: Receiver<WakeReason>,
+    /// The cell this process sleeps on while others run.
+    cell: Arc<ResumeCell>,
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        shared: Arc<KernelShared>,
-        pid: Pid,
-        resume_rx: Receiver<WakeReason>,
-    ) -> Self {
-        Ctx {
-            shared,
-            pid,
-            resume_rx,
-        }
-    }
-
-    pub(crate) fn shared(&self) -> &Arc<KernelShared> {
-        &self.shared
-    }
-
-    /// Block on the resume channel. `Err` means the simulation was torn
-    /// down before this process ever ran.
-    pub(crate) fn wait_resume(&self) -> Result<WakeReason, ()> {
-        self.resume_rx.recv().map_err(|_| ())
-    }
-
-    /// Block on the resume channel mid-run; unwinds with the teardown
-    /// sentinel if the engine has abandoned us (horizon stop / deadlock).
-    fn wait_resume_or_unwind(&self) -> WakeReason {
-        match self.resume_rx.recv() {
-            Ok(reason) => reason,
-            Err(_) => std::panic::panic_any(Terminated),
-        }
+    pub(crate) fn new(shared: Arc<KernelShared>, pid: Pid, cell: Arc<ResumeCell>) -> Self {
+        Ctx { shared, pid, cell }
     }
 
     fn do_yield(&mut self, op: YieldOp) -> WakeReason {
-        self.shared
-            .yield_tx
-            .send(YieldMsg { pid: self.pid, op })
-            .expect("engine disappeared");
-        self.wait_resume_or_unwind()
+        self.shared.yield_process(self.pid, &self.cell, op)
     }
 
     /// This process's identifier.

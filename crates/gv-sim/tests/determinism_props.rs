@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use gv_sim::{RecvTimeout, Semaphore, SimBarrier, SimChannel, SimDuration, Simulation};
+use gv_sim::{
+    DecisionLog, OracleHandle, RandomOracle, RecvTimeout, SchedOracle, ScriptOracle, Semaphore,
+    SimBarrier, SimChannel, SimDuration, Simulation,
+};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -44,10 +47,16 @@ fn run_timed_recv(gaps: &[u64], timeout_us: u64) -> Vec<(u64, String)> {
     t
 }
 
-/// Run a program of per-process hold sequences; return the observed
-/// completion order and end time.
-fn run_program(holds: &[Vec<u64>]) -> (Vec<usize>, u64) {
+/// What one run of a hold program observably did: completion order, end
+/// time (ns) and scheduling steps.
+type Outcome = (Vec<usize>, u64, u64);
+
+/// Run a program of per-process hold sequences, under `oracle` if given.
+fn run_program_with(holds: &[Vec<u64>], oracle: Option<OracleHandle>) -> Outcome {
     let mut sim = Simulation::new();
+    if let Some(oracle) = oracle {
+        sim.set_oracle(oracle);
+    }
     let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
     for (i, seq) in holds.iter().enumerate() {
         let seq = seq.clone();
@@ -61,13 +70,32 @@ fn run_program(holds: &[Vec<u64>]) -> (Vec<usize>, u64) {
     }
     let summary = sim.run().unwrap();
     let order = order.lock().clone();
-    (order, summary.end_time.as_nanos())
+    (order, summary.end_time.as_nanos(), summary.events_processed)
+}
+
+fn run_program(holds: &[Vec<u64>]) -> Outcome {
+    run_program_with(holds, None)
+}
+
+/// Record a run under `oracle`, replay its decision log, and return both
+/// outcomes plus whether the replay was consulted on the same decisions.
+fn record_and_replay(
+    holds: &[Vec<u64>],
+    oracle: OracleHandle,
+    log: DecisionLog,
+) -> (Outcome, Outcome, bool) {
+    let recorded = run_program_with(holds, Some(oracle));
+    let replayer = ScriptOracle::replay(log.choices());
+    let replay_log = replayer.log();
+    let replayed = run_program_with(holds, Some(replayer.into_handle()));
+    (recorded, replayed, replay_log.snapshot() == log.snapshot())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Re-running the same program yields the identical schedule: the
+    /// Re-running the same program yields the identical schedule — the
+    /// same completion order, end time and number of scheduling steps: the
     /// engine is deterministic despite being built on OS threads.
     #[test]
     fn schedules_are_reproducible(
@@ -78,13 +106,36 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// The oracle is consulted in the same order whichever thread takes
+    /// the scheduling step: a recording run equals the oracle-free run, and
+    /// replaying its log (or a random oracle's) reproduces the run and the
+    /// decisions it was asked.
+    #[test]
+    fn recorded_schedules_replay(
+        holds in prop::collection::vec(prop::collection::vec(0u64..50, 0..8), 1..6),
+        seed in 1u64..1_000,
+    ) {
+        let recorder = ScriptOracle::recording();
+        let log = recorder.log();
+        let (recorded, replayed, same) = record_and_replay(&holds, recorder.into_handle(), log);
+        prop_assert_eq!(&recorded, &run_program(&holds));
+        prop_assert_eq!(&recorded, &replayed);
+        prop_assert!(same, "replay consulted on different decisions");
+
+        let random = RandomOracle::seeded(seed);
+        let log = random.log();
+        let (recorded, replayed, same) = record_and_replay(&holds, random.into_handle(), log);
+        prop_assert_eq!(&recorded, &replayed);
+        prop_assert!(same, "random replay consulted on different decisions");
+    }
+
     /// End time equals the maximum per-process hold total (processes are
     /// independent), regardless of interleaving.
     #[test]
     fn end_time_is_max_of_sums(
         holds in prop::collection::vec(prop::collection::vec(0u64..500, 0..8), 1..6)
     ) {
-        let (_, end_ns) = run_program(&holds);
+        let (_, end_ns, _) = run_program(&holds);
         let want: u64 = holds
             .iter()
             .map(|seq| seq.iter().sum::<u64>() * 1_000)
