@@ -13,7 +13,6 @@
 //!   shared, but nothing overlaps).
 
 use gv_kernels::{Benchmark, BenchmarkId};
-use serde::Serialize;
 
 use crate::scenario::{ExecutionMode, Scenario};
 use gv_cuda::CudaDevice;
@@ -23,7 +22,7 @@ use gv_sim::Simulation;
 use gv_virt::{Gvm, GvmConfig, VgpuClient};
 
 /// Which mechanism is disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ablation {
     /// Everything enabled (the paper's configuration).
     Full,
@@ -59,7 +58,7 @@ impl std::fmt::Display for Ablation {
 }
 
 /// One ablation measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationPoint {
     /// Benchmark name.
     pub benchmark: String,

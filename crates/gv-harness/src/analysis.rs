@@ -85,6 +85,16 @@ pub fn run_all(scale_down: u32) -> Vec<AnalyzedScenario> {
     ]
 }
 
+/// Run every `gv-analyze` checker over `tracer`'s analysis records and
+/// print any diagnostics under the heading `what`; `true` when clean.
+pub fn check(tracer: &gv_sim::Tracer, what: &str) -> bool {
+    let report = gv_analyze::analyze(&tracer.analysis_snapshot());
+    if !report.is_clean() {
+        eprintln!("{what}: gv-analyze diagnostics:\n{}", report.render());
+    }
+    report.is_clean()
+}
+
 /// Render the pass result; returns `true` when every scenario is clean.
 pub fn render(scenarios: &[AnalyzedScenario]) -> (String, bool) {
     use std::fmt::Write;

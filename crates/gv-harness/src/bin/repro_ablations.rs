@@ -35,5 +35,5 @@ fn main() {
         Ablation::SerialFlush,
     );
     println!("{text}");
-    gv_harness::report::save("ablations", &text, Some(&table.to_csv()), None);
+    gv_harness::report::save("ablations", &text, Some(&table.to_csv()));
 }

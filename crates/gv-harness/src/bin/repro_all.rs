@@ -39,7 +39,7 @@ fn main() -> ExitCode {
         let scenarios = analysis::run_all(scale);
         let (text, clean) = analysis::render(&scenarios);
         println!("\n{text}");
-        gv_harness::report::save("analyze", &text, None, None);
+        gv_harness::report::save("analyze", &text, None);
         if repro::has_flag("--dump-trace") {
             analysis::dump_traces(&scenarios);
         }

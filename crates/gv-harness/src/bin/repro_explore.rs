@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 
 use gv_analyze::explore::{explore, find_scenario, scenarios, ExploreConfig, Mode, Schedule};
-use gv_harness::report;
+use gv_harness::report::{self, Row, Sweep, Value};
 use gv_sim::SimDuration;
 
 fn arg_value(name: &str) -> Option<String> {
@@ -77,7 +77,7 @@ fn main() -> ExitCode {
     };
 
     let mut text = String::new();
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     let mut found_bug = false;
     let mut failed = false;
     text.push_str(&format!(
@@ -98,17 +98,21 @@ fn main() -> ExitCode {
             "{:<18} {:>4} schedules, {:>3} distinct behaviors, {:>3} pruned: {}\n",
             scenario.name, outcome.schedules_run, outcome.distinct, outcome.pruned, verdict
         ));
-        json_rows.push(format!(
-            "    {{\"scenario\": \"{}\", \"schedules\": {}, \"distinct\": {}, \"pruned\": {}, \"counterexample\": {}}}",
-            scenario.name,
-            outcome.schedules_run,
-            outcome.distinct,
-            outcome.pruned,
-            outcome
-                .counterexample
-                .as_ref()
-                .map_or("null".to_string(), |c| format!("\"{}\"", c.checker))
-        ));
+        let cex = &outcome.counterexample;
+        rows.push(
+            Row::new(scenario.name, Some(cex.is_none()))
+                .text("mode", format!("{:?}", cfg.mode))
+                .int("budget", cfg.budget as u64)
+                .int("preemption_bound", cfg.preemption_bound as u64)
+                .int("schedules", outcome.schedules_run as u64)
+                .int("distinct", outcome.distinct as u64)
+                .int("pruned", outcome.pruned as u64)
+                .cell(
+                    "counterexample",
+                    cex.as_ref()
+                        .map_or(Value::Null, |c| Value::Text(c.checker.clone())),
+                ),
+        );
         if let Some(cex) = outcome.counterexample {
             found_bug = true;
             let sched = cex.schedule();
@@ -142,18 +146,16 @@ fn main() -> ExitCode {
         failed = true;
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"schedule_exploration\",\n  \"mode\": \"{:?}\",\n  \"budget\": {},\n  \"preemption_bound\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        cfg.mode,
-        cfg.budget,
-        cfg.preemption_bound,
-        json_rows.join(",\n")
-    );
     print!("{text}");
-    report::save("explore", &text, None, None);
-    if std::fs::write("results/BENCH_explore.json", &json).is_err() {
-        eprintln!("warning: cannot write results/BENCH_explore.json");
-    }
+    report::save("explore", &text, None);
+    let sweep = Sweep {
+        name: "explore",
+        title: String::new(),
+        scale: 1,
+        rows,
+        notes: String::new(),
+    };
+    report::write("BENCH_explore.json", &sweep.json());
 
     if failed {
         ExitCode::from(1)

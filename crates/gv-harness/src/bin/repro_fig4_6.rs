@@ -18,15 +18,14 @@ fn main() {
         // Also persist a Chrome-trace JSON per diagram (open in Perfetto).
         if let Some(tracer) = &r.tracer {
             let fname = format!(
-                "results/trace_{:?}_{}.json",
+                "trace_{:?}_{}.json",
                 id,
                 match mode {
                     ExecutionMode::Direct => "direct",
                     ExecutionMode::Virtualized => "gvm",
                 }
             );
-            let _ = std::fs::create_dir_all("results");
-            let _ = std::fs::write(&fname, tracer.to_chrome_trace());
+            gv_harness::report::write(&fname, &tracer.to_chrome_trace());
         }
         let tl = r.timeline.as_ref().expect("traced scenario");
         format!(
@@ -61,5 +60,5 @@ fn main() {
         ExecutionMode::Virtualized,
     ));
     println!("{text}");
-    gv_harness::report::save("fig4_6", &text, None, None);
+    gv_harness::report::save("fig4_6", &text, None);
 }

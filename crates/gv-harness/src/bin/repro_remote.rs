@@ -37,5 +37,5 @@ fn main() {
         t.render()
     );
     println!("{text}");
-    gv_harness::report::save("remote_compare", &text, Some(&t.to_csv()), None);
+    gv_harness::report::save("remote_compare", &text, Some(&t.to_csv()));
 }

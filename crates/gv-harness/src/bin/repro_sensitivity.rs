@@ -47,5 +47,5 @@ fn main() {
         t2.render()
     );
     println!("{text}");
-    gv_harness::report::save("sensitivity", &text, Some(&t1.to_csv()), None);
+    gv_harness::report::save("sensitivity", &text, Some(&t1.to_csv()));
 }

@@ -1,4 +1,4 @@
-//! The cluster placement sweep behind the `repro_cluster` binary.
+//! The cluster placement sweep — `repro_bench --only cluster`.
 //!
 //! One experiment: a fixed 128-session workload — a heterogeneous mix of
 //! VectorAdd / EP / MM / BlackScholes sessions across four tenants, with
@@ -25,8 +25,8 @@ use gv_kernels::{Benchmark, BenchmarkId};
 use gv_sim::Simulation;
 use gv_virt::{Cluster, ClusterConfig, MemQuota, PlacePolicy, VgpuRequest};
 
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
+use crate::analysis;
+use crate::report::{Row, Sweep};
 use crate::scenario::Scenario;
 
 /// Sessions per sweep point (fixed across device counts so the policy
@@ -79,42 +79,6 @@ pub fn requests(cfg: &DeviceConfig, scale_down: u32) -> Vec<VgpuRequest> {
         .collect()
 }
 
-/// One policy × device-count measurement.
-pub struct ClusterPoint {
-    /// Policy label.
-    pub policy: &'static str,
-    /// Devices in the cluster.
-    pub devices: usize,
-    /// Sessions placed.
-    pub sessions: usize,
-    /// Admission waves executed.
-    pub waves: u32,
-    /// Deferral events during planning.
-    pub deferred_groups: u64,
-    /// GVM instances booted.
-    pub gvms: u64,
-    /// Cluster makespan (end of simulation) in ms.
-    pub makespan_ms: f64,
-    /// Median session turnaround (end − start) in ms.
-    pub p50_ms: f64,
-    /// 95th-percentile session turnaround in ms.
-    pub p95_ms: f64,
-    /// Mean session turnaround in ms.
-    pub mean_ms: f64,
-    /// Mean per-device busy fraction over the makespan.
-    pub util_mean: f64,
-    /// Least-busy device's busy fraction.
-    pub util_min: f64,
-    /// Busiest device's busy fraction.
-    pub util_max: f64,
-    /// Fewest sessions any device hosted.
-    pub sessions_min: u64,
-    /// Most sessions any device hosted.
-    pub sessions_max: u64,
-    /// `gv-analyze` verdict (`None` when analysis is off).
-    pub clean: Option<bool>,
-}
-
 /// Nearest-rank percentile of an unsorted sample, `q` in [0, 1].
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -124,14 +88,17 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Run one policy × device-count point.
+/// Run one policy × device-count point: session turnaround p50/p95/mean,
+/// the makespan, per-device busy fractions (`util_*`), admission waves,
+/// deferral events, GVMs booted, and the per-device session spread
+/// (`sessions_min`–`sessions_max`).
 pub fn run_point(
     base: &Scenario,
     policy: PlacePolicy,
     ndev: usize,
     scale_down: u32,
     analyze: bool,
-) -> ClusterPoint {
+) -> Row {
     let mut sim = Simulation::new();
     let tracer = sim.tracer();
     if analyze {
@@ -178,155 +145,55 @@ pub fn run_point(
     let util_min = utils.iter().cloned().fold(f64::MAX, f64::min);
     let util_max = utils.iter().cloned().fold(f64::MIN, f64::max);
 
-    let clean = analyze.then(|| {
-        let report = gv_analyze::analyze(&tracer.analysis_snapshot());
-        if !report.is_clean() {
-            eprintln!(
-                "{} × {ndev} devices: gv-analyze diagnostics:\n{}",
-                policy.name(),
-                report.render()
-            );
-        }
-        report.is_clean()
-    });
-
-    ClusterPoint {
-        policy: policy.name(),
-        devices: ndev,
-        sessions: results.len(),
-        waves: stats.waves,
-        deferred_groups: stats.deferred_groups,
-        gvms: stats.gvms,
-        makespan_ms,
-        p50_ms: percentile(&turnarounds, 0.50),
-        p95_ms: percentile(&turnarounds, 0.95),
-        mean_ms,
-        util_mean,
-        util_min,
-        util_max,
-        sessions_min: stats.per_device_sessions.iter().copied().min().unwrap_or(0),
-        sessions_max: stats.per_device_sessions.iter().copied().max().unwrap_or(0),
-        clean,
-    }
+    let what = format!("{} × {ndev} devices", policy.name());
+    let per_device = &stats.per_device_sessions;
+    Row::new(
+        "placement",
+        analyze.then(|| analysis::check(&tracer, &what)),
+    )
+    .text("policy", policy.name())
+    .int("devices", ndev as u64)
+    .int("sessions", results.len() as u64)
+    .int("waves", u64::from(stats.waves))
+    .int("deferred_groups", stats.deferred_groups)
+    .int("gvms", stats.gvms)
+    .ms("makespan_ms", makespan_ms)
+    .ms("p50_ms", percentile(&turnarounds, 0.50))
+    .ms("p95_ms", percentile(&turnarounds, 0.95))
+    .ms("mean_ms", mean_ms)
+    .num("util_mean", util_mean, 4)
+    .num("util_min", util_min, 4)
+    .num("util_max", util_max, 4)
+    .int(
+        "sessions_min",
+        per_device.iter().copied().min().unwrap_or(0),
+    )
+    .int(
+        "sessions_max",
+        per_device.iter().copied().max().unwrap_or(0),
+    )
 }
 
-/// Run the full policy × device-count matrix. `clean` in the returned
-/// tuple is `false` if any analyzed trace had diagnostics (always `true`
-/// when `analyze` is off).
-pub fn matrix(base: &Scenario, scale_down: u32, analyze: bool) -> (Vec<ClusterPoint>, bool) {
-    let mut points = Vec::new();
-    let mut clean = true;
-    for ndev in DEVICES {
-        for policy in PlacePolicy::all() {
-            let p = run_point(base, policy, ndev, scale_down, analyze);
-            clean &= p.clean.unwrap_or(true);
-            points.push(p);
-        }
-    }
-    (points, clean)
-}
-
-/// Render the artifact from a completed [`matrix`] run.
-pub fn artifact(points: &[ClusterPoint], scale_down: u32) -> Artifact {
-    let mut csv = String::from(
-        "policy,devices,sessions,waves,deferred_groups,gvms,makespan_ms,\
-         p50_ms,p95_ms,mean_ms,util_mean,util_min,util_max,\
-         sessions_min,sessions_max,analyzed_clean\n",
-    );
-    let mut text = format!(
-        "CLUSTER PLACEMENT SWEEP — {SESSIONS} sessions ({GANGS} gangs of \
-         {GANG_SIZE}, {TENANTS} tenants) (scale 1/{scale_down})\n\n"
-    );
-    for ndev in DEVICES {
-        let mut t = TextTable::new(vec![
-            "policy",
-            "waves",
-            "p50 (ms)",
-            "p95 (ms)",
-            "mean (ms)",
-            "makespan (ms)",
-            "util mean",
-            "util min–max",
-            "sess/dev",
-            "deferred",
-        ]);
-        for p in points.iter().filter(|p| p.devices == ndev) {
-            t.row(vec![
-                p.policy.to_string(),
-                p.waves.to_string(),
-                ms(p.p50_ms),
-                ms(p.p95_ms),
-                ms(p.mean_ms),
-                ms(p.makespan_ms),
-                pct(p.util_mean),
-                format!("{}–{}", pct(p.util_min), pct(p.util_max)),
-                format!("{}–{}", p.sessions_min, p.sessions_max),
-                p.deferred_groups.to_string(),
-            ]);
-            csv.push_str(&format!(
-                "{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4},{},{},{}\n",
-                p.policy,
-                p.devices,
-                p.sessions,
-                p.waves,
-                p.deferred_groups,
-                p.gvms,
-                p.makespan_ms,
-                p.p50_ms,
-                p.p95_ms,
-                p.mean_ms,
-                p.util_mean,
-                p.util_min,
-                p.util_max,
-                p.sessions_min,
-                p.sessions_max,
-                p.clean.map(|c| c.to_string()).unwrap_or_default(),
-            ));
-        }
-        text.push_str(&format!("{ndev} devices:\n{}\n", t.render()));
-    }
-    text.push_str(
-        "BinPack packs the fewest devices (highest util max, deepest\n\
-         queues); Spread and DRF flatten per-device load; Gang holds\n\
-         4-wide groups on one device, trading waves for co-residency.\n",
-    );
-    Artifact {
+/// Run the full policy × device-count matrix.
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> Sweep {
+    let rows = DEVICES
+        .into_iter()
+        .flat_map(|ndev| PlacePolicy::all().map(move |p| (p, ndev)))
+        .map(|(policy, ndev)| run_point(base, policy, ndev, scale_down, analyze))
+        .collect();
+    Sweep {
         name: "cluster",
-        text,
-        csv,
+        title: format!(
+            "CLUSTER PLACEMENT SWEEP — {SESSIONS} sessions ({GANGS} gangs of \
+             {GANG_SIZE}, {TENANTS} tenants)"
+        ),
+        scale: scale_down,
+        rows,
+        notes: "BinPack packs the fewest devices (highest util max, deepest\n\
+                queues); Spread and DRF flatten per-device load; Gang holds\n\
+                4-wide groups on one device, trading waves for co-residency.\n"
+            .to_string(),
     }
-}
-
-/// Render the machine-readable record (`BENCH_cluster.json`).
-pub fn bench_json(points: &[ClusterPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"cluster_placement\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"devices\": {}, \"sessions\": {}, \
-             \"waves\": {}, \"deferred_groups\": {}, \"gvms\": {}, \
-             \"makespan_ms\": {:.6}, \"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \
-             \"mean_ms\": {:.6}, \"util_mean\": {:.4}, \"util_min\": {:.4}, \
-             \"util_max\": {:.4}, \"sessions_min\": {}, \"sessions_max\": {}}}{}\n",
-            p.policy,
-            p.devices,
-            p.sessions,
-            p.waves,
-            p.deferred_groups,
-            p.gvms,
-            p.makespan_ms,
-            p.p50_ms,
-            p.p95_ms,
-            p.mean_ms,
-            p.util_mean,
-            p.util_min,
-            p.util_max,
-            p.sessions_min,
-            p.sessions_max,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -367,24 +234,13 @@ mod tests {
     fn one_point_runs_and_balances() {
         let base = Scenario::default();
         let p = run_point(&base, PlacePolicy::Spread, 8, 64, false);
-        assert_eq!(p.sessions, SESSIONS);
-        assert!(p.waves >= 1);
-        assert!(p.p95_ms >= p.p50_ms);
-        assert!(p.makespan_ms > 0.0);
-        assert!(p.util_max <= 1.0 && p.util_min >= 0.0);
+        assert_eq!(p.value("sessions"), SESSIONS as f64);
+        assert!(p.value("waves") >= 1.0);
+        assert!(p.value("p95_ms") >= p.value("p50_ms"));
+        assert!(p.value("makespan_ms") > 0.0);
+        assert!(p.value("util_max") <= 1.0 && p.value("util_min") >= 0.0);
         // Spread balances: no device is idle while another hosts the lot.
-        assert!(p.sessions_max > 0 && p.sessions_max - p.sessions_min <= SESSIONS as u64 / 2);
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let base = Scenario::default();
-        let p = run_point(&base, PlacePolicy::BinPack, 8, 64, false);
-        let json = bench_json(&[p]);
-        assert!(json.contains("\"bench\": \"cluster_placement\""));
-        assert_eq!(json.matches("\"policy\":").count(), 1);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Single point → no trailing comma before the closing bracket.
-        assert!(!json.contains("},\n  ]"));
+        let (lo, hi) = (p.value("sessions_min"), p.value("sessions_max"));
+        assert!(hi > 0.0 && hi - lo <= SESSIONS as f64 / 2.0);
     }
 }

@@ -1,5 +1,5 @@
-//! Cross-rank DMA coalescing and batched kernel launch sweep — the
-//! `repro_coalesce` binary.
+//! Cross-rank DMA coalescing and batched kernel launch sweep —
+//! `repro_bench --only coalesce`.
 //!
 //! Compares the per-rank flush (coalescing off, the seed schedule kept as
 //! a config-selectable ablation) against the coalescing flush — staging
@@ -28,11 +28,10 @@ use gv_model::coalesce_saving;
 use gv_sim::SimDuration;
 use gv_virt::MemConfig;
 
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
-use crate::scenario::{ExecutionMode, Scenario};
+use crate::report::{ms, Row, Sweep, TextTable};
+use crate::scenario::{ExecutionMode, ExperimentResult, Scenario};
 
-/// Staged input payload sizes (KiB per rank) — the ISSUE's acceptance
+/// Staged input payload sizes (KiB per rank) — the acceptance
 /// points. 16 MiB sits above the default 4 MiB fuse threshold, so its
 /// transfers must go down unfused.
 pub const PAYLOADS_KIB: [u64; 3] = [64, 1024, 16384];
@@ -66,53 +65,14 @@ pub fn launch_dense_task(scenario: &Scenario, payload_bytes: u64) -> GpuTask {
     task
 }
 
-/// One payload-size measurement: per-rank flush vs coalescing flush.
-pub struct CoalescePoint {
-    /// Staged input payload per rank, KiB.
-    pub payload_kib: f64,
-    /// Process count.
-    pub nprocs: usize,
-    /// Post-init turnaround of one direct (unvirtualized, single process)
-    /// execution — the raw-device baseline the overheads are measured
-    /// against.
-    pub direct_ms: f64,
-    /// Mean per-rank turnaround, per-rank flush (coalescing off), ms.
-    pub off_rank_ms: f64,
-    /// Mean per-rank turnaround, coalescing flush, ms.
-    pub on_rank_ms: f64,
-    /// Fused DMA submissions the coalescing run produced.
-    pub fused_dma_groups: u64,
-    /// Sub-ops riding in those fused submissions.
-    pub fused_dma_subs: u64,
-    /// Kernel launches that went down in batched submissions.
-    pub batched_launches: u64,
-    /// Fraction of flush DMA ops that rode in fused submissions.
-    pub fused_ratio: f64,
-    /// `gv-analyze` verdict over both virtualized traces (`None` when
-    /// analysis is off).
-    pub clean: Option<bool>,
-}
-
-impl CoalescePoint {
-    /// Mean per-request overhead of the per-rank flush (ms).
-    pub fn off_overhead(&self) -> f64 {
-        self.off_rank_ms - self.direct_ms
-    }
-
-    /// Mean per-request overhead of the coalescing flush (ms).
-    pub fn on_overhead(&self) -> f64 {
-        self.on_rank_ms - self.direct_ms
-    }
-
-    /// Overhead reduction from coalescing, as a fraction.
-    pub fn improvement(&self) -> f64 {
-        1.0 - self.on_overhead() / self.off_overhead()
-    }
-}
-
 /// Run one payload point: the direct baseline once, then the virtualized
-/// group with coalescing off and on.
-pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -> CoalescePoint {
+/// group with coalescing off (the per-rank flush) and on.
+///
+/// `direct_ms` is the post-init turnaround of one direct (unvirtualized,
+/// single process) execution — the raw-device baseline the overheads are
+/// measured against. `fused_ratio` is the fraction of flush DMA ops that
+/// rode in fused submissions.
+pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -> Row {
     let run = |mem: MemConfig| {
         let scenario = Scenario {
             analyze,
@@ -130,106 +90,39 @@ pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -
     let off = run(MemConfig::default());
     let on = run(MemConfig::default().with_coalesce(true));
     let og = on.gvm.as_ref().expect("virtualized run has GVM stats");
-    let mean = |r: &crate::scenario::ExperimentResult| {
-        r.mean_phase(|t| t.end.duration_since(t.start).as_millis_f64())
-    };
-    let clean = match (
-        off.analysis.as_ref().map(|r| r.is_clean()),
-        on.analysis.as_ref().map(|r| r.is_clean()),
-    ) {
-        (Some(o), Some(c)) => Some(o && c),
+    let mean =
+        |r: &ExperimentResult| r.mean_phase(|t| t.end.duration_since(t.start).as_millis_f64());
+    let clean = match (&off.analysis, &on.analysis) {
+        (Some(o), Some(c)) => Some(o.is_clean() && c.is_clean()),
         _ => None,
     };
-    CoalescePoint {
-        payload_kib: payload_bytes as f64 / 1024.0,
-        nprocs: n,
-        direct_ms: direct.mean_phase(|t| t.end.duration_since(t.init_done).as_millis_f64()),
-        off_rank_ms: mean(&off),
-        on_rank_ms: mean(&on),
-        fused_dma_groups: og.fused_dma_groups,
-        fused_dma_subs: og.fused_dma_subs,
-        batched_launches: og.batched_launches,
-        fused_ratio: og.fused_dma_ratio(),
-        clean,
-    }
+    let direct_ms = direct.mean_phase(|t| t.end.duration_since(t.init_done).as_millis_f64());
+    let (off_ms, on_ms) = (mean(&off), mean(&on));
+    let (off_ovh, on_ovh) = (off_ms - direct_ms, on_ms - direct_ms);
+    Row::new("overhead", clean)
+        .num("payload_kib", payload_bytes as f64 / 1024.0, 1)
+        .int("nprocs", n as u64)
+        .ms("direct_ms", direct_ms)
+        .ms("off_rank_ms", off_ms)
+        .ms("on_rank_ms", on_ms)
+        .ms("off_overhead_ms", off_ovh)
+        .ms("on_overhead_ms", on_ovh)
+        .num("improvement", 1.0 - on_ovh / off_ovh, 4)
+        .int("fused_dma_groups", og.fused_dma_groups)
+        .int("fused_dma_subs", og.fused_dma_subs)
+        .int("batched_launches", og.batched_launches)
+        .num("fused_ratio", og.fused_dma_ratio(), 4)
 }
 
-/// Render the machine-readable benchmark record (`BENCH_coalesce.json`).
-pub fn bench_json(points: &[CoalescePoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"coalesce\",\n");
-    out.push_str(&format!(
-        "  \"nprocs\": {},\n  \"points\": [\n",
-        points.first().map_or(NPROCS, |p| p.nprocs)
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"payload_kib\": {:.1}, \"off_overhead_ms\": {:.6}, \
-             \"on_overhead_ms\": {:.6}, \"improvement\": {:.4}, \
-             \"fused_dma_groups\": {}, \"fused_dma_subs\": {}, \
-             \"batched_launches\": {}, \"fused_ratio\": {:.4}}}{}\n",
-            p.payload_kib,
-            p.off_overhead(),
-            p.on_overhead(),
-            p.improvement(),
-            p.fused_dma_groups,
-            p.fused_dma_subs,
-            p.batched_launches,
-            p.fused_ratio,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Run the sweep; returns the artifact, the `BENCH_coalesce.json` record,
-/// and whether every analyzed trace was clean.
-pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, String, bool) {
-    let mut csv = String::from(
-        "payload_kib,nprocs,direct_ms,off_rank_ms,on_rank_ms,off_overhead_ms,\
-         on_overhead_ms,improvement,fused_dma_groups,fused_dma_subs,\
-         batched_launches,fused_ratio,analyzed_clean\n",
-    );
-    let mut clean = true;
-    let mut points = Vec::new();
-    let mut t = TextTable::new(vec![
-        "payload (KiB)",
-        "off ovh (ms)",
-        "coalesced ovh (ms)",
-        "improvement",
-        "fused groups/subs",
-        "batched launches",
-    ]);
-    for &kib in &PAYLOADS_KIB {
-        let payload = (kib << 10) / u64::from(scale_down.max(1));
-        let p = run_point(base, payload.max(4096), NPROCS, analyze);
-        clean &= p.clean.unwrap_or(true);
-        t.row(vec![
-            format!("{:.0}", p.payload_kib),
-            ms(p.off_overhead()),
-            ms(p.on_overhead()),
-            pct(p.improvement()),
-            format!("{} / {}", p.fused_dma_groups, p.fused_dma_subs),
-            format!("{}", p.batched_launches),
-        ]);
-        csv.push_str(&format!(
-            "{:.1},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.4},{},{},{},{:.4},{}\n",
-            p.payload_kib,
-            p.nprocs,
-            p.direct_ms,
-            p.off_rank_ms,
-            p.on_rank_ms,
-            p.off_overhead(),
-            p.on_overhead(),
-            p.improvement(),
-            p.fused_dma_groups,
-            p.fused_dma_subs,
-            p.batched_launches,
-            p.fused_ratio,
-            p.clean.map(|c| c.to_string()).unwrap_or_default(),
-        ));
-        points.push(p);
-    }
+/// Run the sweep over [`PAYLOADS_KIB`] at [`NPROCS`] processes.
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> Sweep {
+    let rows = PAYLOADS_KIB
+        .iter()
+        .map(|&kib| {
+            let payload = (kib << 10) / u64::from(scale_down.max(1));
+            run_point(base, payload.max(4096), NPROCS, analyze)
+        })
+        .collect();
     // The analytical side (gv-model's coalesce terms): per-flush fixed
     // submission cost saved when n sub-ops fuse to one group per
     // direction and n·K launches batch to one wave.
@@ -243,29 +136,24 @@ pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, Stri
             ms(coalesce_saving(n * KERNELS_PER_ITER as u32, 1, l_launch)),
         ]);
     }
-    let text = format!(
-        "CROSS-RANK COALESCING SWEEP (scale 1/{scale_down})\n\n\
-         Mean per-request overhead over direct execution, {NPROCS} processes,\n\
-         {KERNELS_PER_ITER} kernels per iteration, per-rank flush vs \
-         coalescing flush:\n{}\n\
-         Model prediction (gv-model coalesce_saving, per flush):\n{}\n\
-         Coalescing places co-flushed ranks' staging leases adjacently,\n\
-         fuses adjacent same-direction transfers into one DMA submission\n\
-         per run (followers elide the setup latency), and batches the\n\
-         group's kernel launches into one submission per device wave.\n",
-        t.render(),
-        m.render(),
-    );
-    let json = bench_json(&points);
-    (
-        Artifact {
-            name: "coalesce",
-            text,
-            csv,
-        },
-        json,
-        clean,
-    )
+    Sweep {
+        name: "coalesce",
+        title: format!(
+            "CROSS-RANK COALESCING SWEEP — mean per-request overhead over direct \
+             execution, {NPROCS} processes, {KERNELS_PER_ITER} kernels per iteration, \
+             per-rank flush vs coalescing flush"
+        ),
+        scale: scale_down,
+        rows,
+        notes: format!(
+            "Model prediction (gv-model coalesce_saving, per flush):\n{}\n\
+             Coalescing places co-flushed ranks' staging leases adjacently,\n\
+             fuses adjacent same-direction transfers into one DMA submission\n\
+             per run (followers elide the setup latency), and batches the\n\
+             group's kernel launches into one submission per device wave.\n",
+            m.render()
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -274,20 +162,26 @@ mod tests {
 
     #[test]
     fn coalescing_cuts_small_payload_overhead_by_a_quarter() {
-        // The ISSUE's acceptance gate: ≥ 25 % lower mean per-request
+        // The acceptance gate: ≥ 25 % lower mean per-request
         // overhead at the small-payload points.
         for &kib in &PAYLOADS_KIB[..2] {
             let p = run_point(&Scenario::default(), kib << 10, NPROCS, false);
             assert!(
-                p.improvement() >= 0.25,
+                p.value("improvement") >= 0.25,
                 "{kib} KiB: improvement {:.1} % must be ≥ 25 % \
                  (off {:.4} ms, on {:.4} ms)",
-                p.improvement() * 100.0,
-                p.off_overhead(),
-                p.on_overhead()
+                p.value("improvement") * 100.0,
+                p.value("off_overhead_ms"),
+                p.value("on_overhead_ms")
             );
-            assert!(p.fused_dma_groups > 0, "{kib} KiB: nothing fused");
-            assert!(p.batched_launches > 0, "{kib} KiB: nothing batched");
+            assert!(
+                p.value("fused_dma_groups") > 0.0,
+                "{kib} KiB: nothing fused"
+            );
+            assert!(
+                p.value("batched_launches") > 0.0,
+                "{kib} KiB: nothing batched"
+            );
         }
     }
 
@@ -296,22 +190,14 @@ mod tests {
         // 16 MiB sits above the 4 MiB fuse threshold: transfers go down
         // per rank (launch batching still applies).
         let p = run_point(&Scenario::default(), 16 << 20, NPROCS, false);
-        assert_eq!(p.fused_dma_groups, 0);
-        assert!(p.batched_launches > 0);
+        assert_eq!(p.value("fused_dma_groups"), 0.0);
+        assert!(p.value("batched_launches") > 0.0);
     }
 
     #[test]
     fn coalesce_traces_are_analyze_clean() {
         let p = run_point(&Scenario::default(), 1 << 20, 4, true);
         assert_eq!(p.clean, Some(true));
-        assert!(p.fused_dma_groups > 0);
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let (_, json, _) = sweep(&Scenario::default(), 16, false);
-        assert!(json.contains("\"bench\": \"coalesce\""));
-        assert_eq!(json.matches("\"payload_kib\":").count(), PAYLOADS_KIB.len());
-        assert!(json.contains("\"fused_dma_groups\""));
+        assert!(p.value("fused_dma_groups") > 0.0);
     }
 }

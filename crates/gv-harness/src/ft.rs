@@ -1,14 +1,14 @@
-//! Fault-tolerant buffer-lifecycle measurements — the `repro_ft` binary.
+//! Fault-tolerant buffer-lifecycle measurements — `repro_bench --only ft`.
 //!
 //! The fault-tolerant GVM allocates device memory lazily at `SND`, parks
-//! allocations in the [`DeviceAllocCache`](gv_mem::DeviceAllocCache) when
-//! a rank is evicted or releases with an idle stream, and re-issues them
-//! to later admissions of the same shape. These scenarios measure that
-//! cache instead of just unit-testing it: a lockstep group (every rank
-//! allocates before anyone releases — all misses), a staggered FCFS wave
-//! (each rank inherits its predecessor's parked allocation), and the same
-//! wave with a crashed rank whose eviction routes its allocation through
-//! the cache.
+//! allocations in gv-mem's `DeviceAllocCache` when a rank is evicted or
+//! releases with an idle stream, and re-issues them to later admissions
+//! of the same shape. These scenarios measure that cache instead of just
+//! unit-testing it: a lockstep group (every rank allocates before anyone
+//! releases — all misses), a staggered FCFS wave (each rank inherits its
+//! predecessor's parked allocation), and the same wave with a crashed rank
+//! whose eviction routes its allocation through the cache. With `analyze`
+//! on, each scenario's trace is checked by the full `gv-analyze` suite.
 
 use std::sync::Arc;
 
@@ -22,45 +22,17 @@ use gv_virt::{
 };
 use parking_lot::Mutex;
 
+use crate::analysis;
 use crate::pipeline::payload_task;
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
+use crate::report::{Row, Sweep};
 use crate::scenario::Scenario;
-
-/// One fault-tolerant scenario's measurements.
-pub struct FtPoint {
-    /// Scenario label.
-    pub name: &'static str,
-    /// Process count.
-    pub nprocs: usize,
-    /// Group turnaround (max end − min start over completed ranks), ms.
-    pub group_ms: f64,
-    /// Device-allocation cache hits (allocations served without
-    /// `cudaMalloc`).
-    pub devcache_hits: u64,
-    /// Device-allocation cache misses (real allocator calls).
-    pub devcache_misses: u64,
-    /// Ranks evicted by the fault-tolerance layer.
-    pub evictions: u64,
-    /// NAK responses sent.
-    pub naks: u64,
-}
-
-impl FtPoint {
-    /// Fraction of device allocations served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.devcache_hits + self.devcache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.devcache_hits as f64 / total as f64
-        }
-    }
-}
 
 /// Run one fault-tolerant group: `n` ranks of the pipeline payload task,
 /// arrivals `stagger` apart, under `plan`. Ranks scripted to abort walk
-/// away mid-protocol; everyone else runs to completion.
+/// away mid-protocol; everyone else runs to completion. `group_ms` spans
+/// min start to max end over every rank; `hit_rate` is the fraction of
+/// device allocations served from the cache instead of `cudaMalloc`.
+/// `base.analyze` turns on trace checking.
 fn run_ft(
     base: &Scenario,
     name: &'static str,
@@ -69,8 +41,10 @@ fn run_ft(
     scheduler: SchedPolicy,
     stagger: SimDuration,
     plan: &FaultPlan,
-) -> FtPoint {
+) -> Row {
     let mut sim = Simulation::new();
+    let tracer = sim.tracer();
+    tracer.set_analysis(base.analyze);
     let device = GpuDevice::install(&mut sim, base.device.clone());
     let cuda = CudaDevice::new(device.clone());
     let node = Node::new(base.node.clone());
@@ -114,19 +88,28 @@ fn run_ft(
     let start = spans.iter().map(|(s, _)| *s).min().expect("non-empty");
     let end = spans.iter().map(|(_, e)| *e).max().expect("non-empty");
     let stats: GvmStats = handle.stats.lock().clone();
-    FtPoint {
-        name,
-        nprocs: n,
-        group_ms: end.duration_since(start).as_millis_f64(),
-        devcache_hits: stats.devcache_hits,
-        devcache_misses: stats.devcache_misses,
-        evictions: stats.evictions,
-        naks: stats.naks,
-    }
+    let allocs = stats.devcache_hits + stats.devcache_misses;
+    let hit_rate = if allocs == 0 {
+        0.0
+    } else {
+        stats.devcache_hits as f64 / allocs as f64
+    };
+    Row::new(name, base.analyze.then(|| analysis::check(&tracer, name)))
+        .int("nprocs", n as u64)
+        .ms("group_ms", end.duration_since(start).as_millis_f64())
+        .int("devcache_hits", stats.devcache_hits)
+        .int("devcache_misses", stats.devcache_misses)
+        .num("hit_rate", hit_rate, 4)
+        .int("evictions", stats.evictions)
+        .int("naks", stats.naks)
 }
 
 /// Run the three scenarios at `16 MiB / scale_down` payloads.
-pub fn scenarios(base: &Scenario, scale_down: u32) -> Vec<FtPoint> {
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> Sweep {
+    let base = &Scenario {
+        analyze,
+        ..base.clone()
+    };
     let payload = (16 << 20) / scale_down.max(1) as u64;
     let n = 8;
     let task = payload_task(base, payload);
@@ -136,7 +119,7 @@ pub fn scenarios(base: &Scenario, scale_down: u32) -> Vec<FtPoint> {
     // fault-free estimate undershoots the fault-tolerant round (device
     // allocation happens lazily at SND), hence the margin.
     let stagger = SimDuration::from_millis_f64(cost * 2.0);
-    vec![
+    let rows = vec![
         // Lockstep joint flush: every rank allocates before anyone
         // releases, so the cache cannot help — the all-miss baseline.
         run_ft(
@@ -174,83 +157,17 @@ pub fn scenarios(base: &Scenario, scale_down: u32) -> Vec<FtPoint> {
                 stage: RequestKind::Stp,
             }),
         ),
-    ]
-}
-
-/// Render the text + CSV artifact from the scenario points.
-pub fn artifact(points: &[FtPoint], scale_down: u32) -> Artifact {
-    let mut t = TextTable::new(vec![
-        "scenario",
-        "procs",
-        "group (ms)",
-        "cache hits",
-        "cache misses",
-        "hit rate",
-        "evictions",
-        "naks",
-    ]);
-    let mut csv = String::from(
-        "scenario,nprocs,group_ms,devcache_hits,devcache_misses,hit_rate,evictions,naks\n",
-    );
-    for p in points {
-        t.row(vec![
-            p.name.to_string(),
-            p.nprocs.to_string(),
-            ms(p.group_ms),
-            p.devcache_hits.to_string(),
-            p.devcache_misses.to_string(),
-            pct(p.hit_rate()),
-            p.evictions.to_string(),
-            p.naks.to_string(),
-        ]);
-        csv.push_str(&format!(
-            "{},{},{:.3},{},{},{:.4},{},{}\n",
-            p.name,
-            p.nprocs,
-            p.group_ms,
-            p.devcache_hits,
-            p.devcache_misses,
-            p.hit_rate(),
-            p.evictions,
-            p.naks,
-        ));
-    }
-    let text = format!(
-        "FAULT-TOLERANT BUFFER LIFECYCLE — DEVICE-ALLOCATION CACHE \
-         (scale 1/{scale_down})\n\n{}\n\
-         Lockstep groups allocate all at once (all misses); staggered\n\
-         waves inherit parked allocations from released and evicted\n\
-         ranks instead of paying cudaMalloc again.\n",
-        t.render()
-    );
-    Artifact {
+    ];
+    Sweep {
         name: "ft",
-        text,
-        csv,
+        title: "FAULT-TOLERANT BUFFER LIFECYCLE — DEVICE-ALLOCATION CACHE".to_string(),
+        scale: scale_down,
+        rows,
+        notes: "Lockstep groups allocate all at once (all misses); staggered\n\
+                waves inherit parked allocations from released and evicted\n\
+                ranks instead of paying cudaMalloc again.\n"
+            .to_string(),
     }
-}
-
-/// Render the machine-readable record (`BENCH_ft.json`).
-pub fn bench_json(points: &[FtPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"ft_devcache\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"nprocs\": {}, \"group_ms\": {:.6}, \
-             \"devcache_hits\": {}, \"devcache_misses\": {}, \"hit_rate\": {:.4}, \
-             \"evictions\": {}, \"naks\": {}}}{}\n",
-            p.name,
-            p.nprocs,
-            p.group_ms,
-            p.devcache_hits,
-            p.devcache_misses,
-            p.hit_rate(),
-            p.evictions,
-            p.naks,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -259,36 +176,34 @@ mod tests {
 
     #[test]
     fn lockstep_misses_staggered_hits() {
-        let pts = scenarios(&Scenario::default(), 16);
+        let pts = sweep(&Scenario::default(), 16, false).rows;
         let lockstep = &pts[0];
         let staggered = &pts[1];
-        assert_eq!(lockstep.devcache_hits, 0, "lockstep cannot reuse");
-        assert_eq!(lockstep.devcache_misses as usize, lockstep.nprocs);
+        assert_eq!(
+            lockstep.value("devcache_hits"),
+            0.0,
+            "lockstep cannot reuse"
+        );
+        assert_eq!(lockstep.value("devcache_misses"), lockstep.value("nprocs"));
+        let hits = staggered.value("devcache_hits");
         assert!(
-            staggered.devcache_hits as usize >= staggered.nprocs - 1,
-            "every rank after the first inherits a parked allocation, got {} hits",
-            staggered.devcache_hits
+            hits >= staggered.value("nprocs") - 1.0,
+            "every rank after the first inherits a parked allocation, got {hits} hits"
         );
     }
 
     #[test]
     fn aborted_rank_is_evicted_and_survivors_reuse() {
-        let pts = scenarios(&Scenario::default(), 16);
+        let pts = sweep(&Scenario::default(), 16, false).rows;
         let abort = &pts[2];
-        assert_eq!(abort.evictions, 1, "exactly the crashed rank is evicted");
+        assert_eq!(
+            abort.value("evictions"),
+            1.0,
+            "exactly the crashed rank is evicted"
+        );
         assert!(
-            abort.devcache_hits > 0,
+            abort.value("devcache_hits") > 0.0,
             "survivors still reuse parked allocations"
         );
-    }
-
-    #[test]
-    fn ft_artifacts_are_well_formed() {
-        let pts = scenarios(&Scenario::default(), 64);
-        let a = artifact(&pts, 64);
-        assert_eq!(a.csv.lines().count(), 1 + pts.len());
-        let j = bench_json(&pts);
-        assert!(j.contains("\"bench\": \"ft_devcache\""));
-        assert_eq!(j.matches("\"scenario\":").count(), pts.len());
     }
 }

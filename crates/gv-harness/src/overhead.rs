@@ -9,12 +9,11 @@
 
 use gv_gpu::estimate_kernel_time;
 use gv_kernels::vecadd;
-use serde::Serialize;
 
 use crate::scenario::{ExecutionMode, Scenario};
 
 /// One Fig. 10 data point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OverheadPoint {
     /// Total staged data (input) size in MB.
     pub data_mb: f64,

@@ -11,12 +11,11 @@
 
 use gv_kernels::{Benchmark, BenchmarkId};
 use gv_model::ExecutionProfile;
-use serde::Serialize;
 
 use crate::scenario::{ExecutionMode, Scenario};
 
 /// A measured Table II column, plus the geometry rows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MeasuredProfile {
     /// Benchmark name.
     pub benchmark: String,

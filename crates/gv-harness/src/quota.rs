@@ -1,5 +1,5 @@
-//! Device-memory quota and VRAM-oversubscription measurements — the
-//! `repro_quota` binary.
+//! Device-memory quota and VRAM-oversubscription measurements —
+//! `repro_bench --only quota`.
 //!
 //! Each point runs the same staggered FCFS wave of 8 quota'd sessions
 //! twice against a deliberately small device: once **hard-fit** (finite
@@ -26,51 +26,12 @@ use gv_virt::sched::estimate_cost_ms;
 use gv_virt::{Gvm, GvmConfig, GvmStats, MemQuota, SchedPolicy, VgpuClient};
 use parking_lot::Mutex;
 
-use crate::report::{ms, x, TextTable};
-use crate::repro::Artifact;
+use crate::analysis;
+use crate::report::{Row, Sweep};
 use crate::scenario::Scenario;
 
 /// Sessions per wave.
 const NPROCS: usize = 8;
-
-/// One oversubscription ratio, measured hard-fit and swap-backed.
-pub struct QuotaPoint {
-    /// Aggregate demand as a multiple of device capacity.
-    pub ratio: u32,
-    /// Process count (sessions requested).
-    pub nprocs: usize,
-    /// Sessions that ran to completion without demand-swap.
-    pub admitted_hard: usize,
-    /// Sessions that ran to completion with demand-swap.
-    pub admitted_swap: usize,
-    /// NAKs sent in the hard-fit run.
-    pub naks_hard: u64,
-    /// Working sets demand-swapped out to host staging (swap run).
-    pub swap_outs: u64,
-    /// Working sets restored from host staging (swap run).
-    pub swap_ins: u64,
-    /// Bytes moved device→host by demand-swap (swap run).
-    pub swapped_out_bytes: u64,
-    /// Group turnaround of the hard-fit run, ms.
-    pub group_ms_hard: f64,
-    /// Group turnaround of the swap run, ms.
-    pub group_ms_swap: f64,
-    /// `gv-analyze` verdict on the hard-fit trace (`None`: analysis off).
-    pub clean_hard: Option<bool>,
-    /// `gv-analyze` verdict on the swap trace (`None`: analysis off).
-    pub clean_swap: Option<bool>,
-}
-
-impl QuotaPoint {
-    /// Admission gain of oversubscription over hard-fit.
-    pub fn admit_gain(&self) -> f64 {
-        if self.admitted_hard == 0 {
-            self.admitted_swap as f64
-        } else {
-            self.admitted_swap as f64 / self.admitted_hard as f64
-        }
-    }
-}
 
 /// What one wave (one mode at one ratio) measured.
 struct Wave {
@@ -178,147 +139,56 @@ fn run_wave(
         admitted: spans.iter().filter(|(_, _, ok)| *ok).count(),
         group_ms: end.duration_since(start).as_millis_f64(),
         stats,
-        clean: analyze.then(|| {
-            let report = gv_analyze::analyze(&tracer.analysis_snapshot());
-            if !report.is_clean() {
-                eprintln!(
-                    "quota wave (swap={swap}): gv-analyze diagnostics:\n{}",
-                    report.render()
-                );
-            }
-            report.is_clean()
-        }),
+        clean: analyze.then(|| analysis::check(&tracer, &format!("quota wave (swap={swap})"))),
     }
 }
 
-/// Sweep aggregate demand over 1×, 2×, 4×, and 8× of device capacity.
+/// Sweep aggregate demand over 1×, 2×, 4×, and 8× of device capacity,
+/// one row per ratio measuring the hard-fit and the swap-backed wave.
+/// `admit_gain` is the swap run's admissions over the hard-fit run's.
 /// With `analyze`, every wave's trace is checked by the full `gv-analyze`
-/// suite (including the quota/swap checker); the returned flag is `false`
-/// if any trace had diagnostics.
-pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Vec<QuotaPoint>, bool) {
+/// suite (including the quota/swap checker).
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> Sweep {
     let device_cfg = quota_device(base, scale_down);
     let capacity = device_cfg.global_mem_bytes;
-    let mut clean = true;
-    let points = [1u32, 2, 4, 8]
+    let rows: Vec<Row> = [1u32, 2, 4, 8]
         .into_iter()
         .map(|ratio| {
             let elems = working_set_elems(capacity, ratio);
             let hard = run_wave(base, &device_cfg, &elems, false, analyze);
             let swap = run_wave(base, &device_cfg, &elems, true, analyze);
-            clean &= hard.clean.unwrap_or(true) && swap.clean.unwrap_or(true);
-            QuotaPoint {
-                ratio,
-                nprocs: NPROCS,
-                admitted_hard: hard.admitted,
-                admitted_swap: swap.admitted,
-                naks_hard: hard.stats.naks,
-                swap_outs: swap.stats.swap_outs,
-                swap_ins: swap.stats.swap_ins,
-                swapped_out_bytes: swap.stats.swapped_out_bytes,
-                group_ms_hard: hard.group_ms,
-                group_ms_swap: swap.group_ms,
-                clean_hard: hard.clean,
-                clean_swap: swap.clean,
-            }
+            let clean = hard.clean.zip(swap.clean).map(|(h, s)| h && s);
+            let gain = swap.admitted as f64 / hard.admitted.max(1) as f64;
+            Row::new("oversubscription", clean)
+                .int("ratio", u64::from(ratio))
+                .int("nprocs", NPROCS as u64)
+                .int("admitted_hard", hard.admitted as u64)
+                .int("admitted_swap", swap.admitted as u64)
+                .num("admit_gain", gain, 3)
+                .int("naks_hard", hard.stats.naks)
+                .int("swap_outs", swap.stats.swap_outs)
+                .int("swap_ins", swap.stats.swap_ins)
+                .int("swapped_out_bytes", swap.stats.swapped_out_bytes)
+                .ms("group_ms_hard", hard.group_ms)
+                .ms("group_ms_swap", swap.group_ms)
         })
         .collect();
-    (points, clean)
-}
-
-/// Render the text + CSV artifact from the sweep points.
-pub fn artifact(points: &[QuotaPoint], scale_down: u32) -> Artifact {
-    let mut t = TextTable::new(vec![
-        "demand",
-        "procs",
-        "admitted (hard-fit)",
-        "admitted (swap)",
-        "gain",
-        "naks",
-        "swap outs",
-        "swap ins",
-        "swapped (MiB)",
-        "hard-fit (ms)",
-        "swap (ms)",
-    ]);
-    let mut csv = String::from(
-        "ratio,nprocs,admitted_hard,admitted_swap,admit_gain,naks_hard,\
-         swap_outs,swap_ins,swapped_out_bytes,group_ms_hard,group_ms_swap\n",
-    );
-    for p in points {
-        t.row(vec![
-            format!("{}x", p.ratio),
-            p.nprocs.to_string(),
-            p.admitted_hard.to_string(),
-            p.admitted_swap.to_string(),
-            x(p.admit_gain()),
-            p.naks_hard.to_string(),
-            p.swap_outs.to_string(),
-            p.swap_ins.to_string(),
-            format!("{:.1}", p.swapped_out_bytes as f64 / (1 << 20) as f64),
-            ms(p.group_ms_hard),
-            ms(p.group_ms_swap),
-        ]);
-        csv.push_str(&format!(
-            "{},{},{},{},{:.3},{},{},{},{},{:.3},{:.3}\n",
-            p.ratio,
-            p.nprocs,
-            p.admitted_hard,
-            p.admitted_swap,
-            p.admit_gain(),
-            p.naks_hard,
-            p.swap_outs,
-            p.swap_ins,
-            p.swapped_out_bytes,
-            p.group_ms_hard,
-            p.group_ms_swap,
-        ));
-    }
-    let best = points
+    let best = rows
         .iter()
-        .map(QuotaPoint::admit_gain)
+        .map(|r| r.value("admit_gain"))
         .fold(0.0, f64::max);
-    let text = format!(
-        "DEVICE-MEMORY QUOTAS AND VRAM OVERSUBSCRIPTION — DEMAND-SWAP \
-         (scale 1/{scale_down})\n\n{}\n\
-         Aggregate demand sweeps 1x-8x of device VRAM. Hard-fit NAKs any\n\
-         session whose quota'd working set cannot be placed; demand-swap\n\
-         parks idle working sets in pinned host staging instead, admitting\n\
-         up to {:.1}x more sessions at the cost of the swap traffic above.\n",
-        t.render(),
-        best,
-    );
-    Artifact {
+    Sweep {
         name: "quota",
-        text,
-        csv,
+        title: "DEVICE-MEMORY QUOTAS AND VRAM OVERSUBSCRIPTION — DEMAND-SWAP".to_string(),
+        scale: scale_down,
+        rows,
+        notes: format!(
+            "Aggregate demand sweeps 1x-8x of device VRAM. Hard-fit NAKs any\n\
+             session whose quota'd working set cannot be placed; demand-swap\n\
+             parks idle working sets in pinned host staging instead, admitting\n\
+             up to {best:.1}x more sessions at the cost of the swap traffic above.\n"
+        ),
     }
-}
-
-/// Render the machine-readable record (`BENCH_quota.json`).
-pub fn bench_json(points: &[QuotaPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"quota_oversubscription\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"ratio\": {}, \"nprocs\": {}, \"admitted_hard\": {}, \
-             \"admitted_swap\": {}, \"admit_gain\": {:.3}, \"naks_hard\": {}, \
-             \"swap_outs\": {}, \"swap_ins\": {}, \"swapped_out_bytes\": {}, \
-             \"group_ms_hard\": {:.6}, \"group_ms_swap\": {:.6}}}{}\n",
-            p.ratio,
-            p.nprocs,
-            p.admitted_hard,
-            p.admitted_swap,
-            p.admit_gain(),
-            p.naks_hard,
-            p.swap_outs,
-            p.swap_ins,
-            p.swapped_out_bytes,
-            p.group_ms_hard,
-            p.group_ms_swap,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -327,55 +197,56 @@ mod tests {
 
     #[test]
     fn oversubscription_admits_4x_more_than_hard_fit() {
-        let (pts, _) = sweep(&Scenario::default(), 16, false);
+        let pts = sweep(&Scenario::default(), 16, false).rows;
         for p in &pts {
             assert_eq!(
-                p.admitted_swap, p.nprocs,
+                p.value("admitted_swap"),
+                NPROCS as f64,
                 "demand-swap must admit every session at {}x",
-                p.ratio
+                p.value("ratio")
             );
         }
         // Hard-fit admission decays as demand grows past capacity…
-        let hard: Vec<usize> = pts.iter().map(|p| p.admitted_hard).collect();
-        assert_eq!(hard[0], NPROCS, "everything fits at 1x");
+        let hard: Vec<f64> = pts.iter().map(|p| p.value("admitted_hard")).collect();
+        assert_eq!(hard[0], NPROCS as f64, "everything fits at 1x");
         assert!(
             hard.windows(2).all(|w| w[1] <= w[0]),
             "hard-fit admission must be monotone in demand: {hard:?}"
         );
         // …and the acceptance headline: ≥4× more sessions admitted under
         // oversubscription than hard-fit.
-        let best = pts.iter().map(QuotaPoint::admit_gain).fold(0.0, f64::max);
+        let best = pts
+            .iter()
+            .map(|p| p.value("admit_gain"))
+            .fold(0.0, f64::max);
         assert!(best >= 4.0, "admission gain only {best:.2}x: {hard:?}");
     }
 
     #[test]
     fn swap_traffic_appears_exactly_when_overcommitted() {
-        let (pts, clean) = sweep(&Scenario::default(), 32, true);
-        assert!(clean, "every swept trace must analyze clean");
-        for p in &pts {
-            assert_eq!(p.clean_hard, Some(true));
-            assert_eq!(p.clean_swap, Some(true));
-            if p.ratio == 1 {
-                assert_eq!(p.swap_outs, 0, "nothing to swap when everything fits");
-                assert_eq!(p.naks_hard, 0);
+        let sweep = sweep(&Scenario::default(), 32, true);
+        assert!(sweep.clean(), "every swept trace must analyze clean");
+        for p in &sweep.rows {
+            // Both waves (hard-fit and swap) analyzed clean.
+            assert_eq!(p.clean, Some(true));
+            let ratio = p.value("ratio");
+            if ratio == 1.0 {
+                assert_eq!(
+                    p.value("swap_outs"),
+                    0.0,
+                    "nothing to swap when everything fits"
+                );
+                assert_eq!(p.value("naks_hard"), 0.0);
             } else {
                 assert!(
-                    p.swap_outs > 0,
-                    "{}x overcommit must demand-swap at least once",
-                    p.ratio
+                    p.value("swap_outs") > 0.0,
+                    "{ratio}x overcommit must demand-swap at least once"
                 );
-                assert!(p.naks_hard > 0, "hard-fit must reject at {}x", p.ratio);
+                assert!(
+                    p.value("naks_hard") > 0.0,
+                    "hard-fit must reject at {ratio}x"
+                );
             }
         }
-    }
-
-    #[test]
-    fn quota_artifacts_are_well_formed() {
-        let (pts, _) = sweep(&Scenario::default(), 64, false);
-        let a = artifact(&pts, 64);
-        assert_eq!(a.csv.lines().count(), 1 + pts.len());
-        let j = bench_json(&pts);
-        assert!(j.contains("\"bench\": \"quota_oversubscription\""));
-        assert_eq!(j.matches("\"ratio\":").count(), pts.len());
     }
 }

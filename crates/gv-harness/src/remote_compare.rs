@@ -17,12 +17,11 @@ use gv_ipc::Node;
 use gv_kernels::{Benchmark, BenchmarkId};
 use gv_sim::Simulation;
 use gv_virt::remote::remote_turnaround;
-use serde::Serialize;
 
 use crate::scenario::{ExecutionMode, Scenario};
 
 /// One comparison row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RemoteComparePoint {
     /// Benchmark name.
     pub benchmark: String,

@@ -28,7 +28,7 @@ pub struct Artifact {
 impl Artifact {
     /// Persist under `results/` (best effort).
     pub fn save(&self) {
-        crate::report::save(self.name, &self.text, Some(&self.csv), None);
+        crate::report::save(self.name, &self.text, Some(&self.csv));
     }
 }
 
@@ -206,7 +206,13 @@ fn turnaround_artifact(
     title: &str,
 ) -> Artifact {
     let mut text = format!("{title}\n\n");
-    let mut csv = String::from("benchmark,nprocs,no_virtualization_ms,virtualization_ms,speedup\n");
+    let mut csv = TextTable::new(vec![
+        "benchmark",
+        "nprocs",
+        "no_virtualization_ms",
+        "virtualization_ms",
+        "speedup",
+    ]);
     for &id in ids {
         let cfg = TurnaroundConfig {
             benchmark: id,
@@ -227,18 +233,21 @@ fn turnaround_artifact(
                 ms(p.vt_ms),
                 x(p.speedup()),
             ]);
-            csv.push_str(&format!(
-                "{},{},{:.3},{:.3},{:.3}\n",
-                series.benchmark,
-                p.nprocs,
-                p.no_vt_ms,
-                p.vt_ms,
-                p.speedup()
-            ));
+            csv.row(vec![
+                series.benchmark.to_string(),
+                p.nprocs.to_string(),
+                format!("{:.3}", p.no_vt_ms),
+                format!("{:.3}", p.vt_ms),
+                format!("{:.3}", p.speedup()),
+            ]);
         }
         text.push_str(&format!("{}:\n{}\n", series.benchmark, t.render()));
     }
-    Artifact { name, text, csv }
+    Artifact {
+        name,
+        text,
+        csv: csv.to_csv(),
+    }
 }
 
 /// Fig. 9: turnaround vs process count for the I/O-intensive (VectorAdd)
@@ -249,8 +258,15 @@ pub fn fig9(scenario: &Scenario, scale_down: u32) -> Artifact {
         "FIGURE 9 — TURNAROUND TIME COMPARISON, I/O-INTENSIVE AND \
          COMPUTE-INTENSIVE MICROBENCHMARKS (scale 1/{scale_down})\n\n"
     );
-    let mut csv =
-        String::from("benchmark,nprocs,no_vt_ms,vt_ms,model_no_vt_ms,model_vt_ms,speedup\n");
+    let mut csv = TextTable::new(vec![
+        "benchmark",
+        "nprocs",
+        "no_vt_ms",
+        "vt_ms",
+        "model_no_vt_ms",
+        "model_vt_ms",
+        "speedup",
+    ]);
     for id in [BenchmarkId::VecAdd, BenchmarkId::Ep] {
         let prof = profile::measure(scenario, id, scale_down);
         let model = SpeedupModel::new(prof.profile);
@@ -278,23 +294,22 @@ pub fn fig9(scenario: &Scenario, scale_down: u32) -> Artifact {
                 ms(model.total_vt(n)),
                 x(p.speedup()),
             ]);
-            csv.push_str(&format!(
-                "{},{},{:.3},{:.3},{:.3},{:.3},{:.3}\n",
-                series.benchmark,
-                p.nprocs,
-                p.no_vt_ms,
-                p.vt_ms,
-                model.total_no_vt(n),
-                model.total_vt(n),
-                p.speedup()
-            ));
+            csv.row(vec![
+                series.benchmark.to_string(),
+                p.nprocs.to_string(),
+                format!("{:.3}", p.no_vt_ms),
+                format!("{:.3}", p.vt_ms),
+                format!("{:.3}", model.total_no_vt(n)),
+                format!("{:.3}", model.total_vt(n)),
+                format!("{:.3}", p.speedup()),
+            ]);
         }
         text.push_str(&format!("{}:\n{}\n", series.benchmark, t.render()));
     }
     Artifact {
         name: "fig9",
         text,
-        csv,
+        csv: csv.to_csv(),
     }
 }
 
@@ -307,7 +322,12 @@ pub fn fig10(scenario: &Scenario, sizes_mb: &[u64]) -> Artifact {
         "base layer / GPU (ms)",
         "overhead",
     ]);
-    let mut csv = String::from("data_mb,turnaround_ms,base_layer_ms,overhead_frac\n");
+    let mut csv = TextTable::new(vec![
+        "data_mb",
+        "turnaround_ms",
+        "base_layer_ms",
+        "overhead_frac",
+    ]);
     for p in &pts {
         t.row(vec![
             format!("{:.0}", p.data_mb),
@@ -315,10 +335,12 @@ pub fn fig10(scenario: &Scenario, sizes_mb: &[u64]) -> Artifact {
             ms(p.base_layer_ms),
             pct(p.overhead_frac),
         ]);
-        csv.push_str(&format!(
-            "{:.0},{:.3},{:.3},{:.4}\n",
-            p.data_mb, p.turnaround_ms, p.base_layer_ms, p.overhead_frac
-        ));
+        csv.row(vec![
+            format!("{:.0}", p.data_mb),
+            format!("{:.3}", p.turnaround_ms),
+            format!("{:.3}", p.base_layer_ms),
+            format!("{:.4}", p.overhead_frac),
+        ]);
     }
     let max_ov = pts.iter().map(|p| p.overhead_frac).fold(0.0, f64::max);
     let text = format!(
@@ -330,7 +352,7 @@ pub fn fig10(scenario: &Scenario, sizes_mb: &[u64]) -> Artifact {
     Artifact {
         name: "fig10",
         text,
-        csv,
+        csv: csv.to_csv(),
     }
 }
 
@@ -356,7 +378,7 @@ pub fn fig11_15(scenario: &Scenario, scale_down: u32, only: Option<BenchmarkId>)
 pub fn fig16(scenario: &Scenario, scale_down: u32) -> Artifact {
     let n = scenario.node.cores;
     let mut t = TextTable::new(vec!["Benchmark", "Class", "Speedup @8 procs"]);
-    let mut csv = String::from("benchmark,class,speedup\n");
+    let mut csv = TextTable::new(vec!["benchmark", "class", "speedup"]);
     let mut speedups = Vec::new();
     for id in BenchmarkId::applications() {
         let d = Benchmark::describe(id);
@@ -364,7 +386,11 @@ pub fn fig16(scenario: &Scenario, scale_down: u32) -> Artifact {
         let s = p.speedup();
         speedups.push((d.name, s));
         t.row(vec![d.name.to_string(), d.class.to_string(), x(s)]);
-        csv.push_str(&format!("{},{},{:.3}\n", d.name, d.class, s));
+        csv.row(vec![
+            d.name.to_string(),
+            d.class.to_string(),
+            format!("{s:.3}"),
+        ]);
     }
     let text = format!(
         "FIGURE 16 — SPEEDUPS WITH GPU VIRTUALIZATION, 8 PROCESSES\n\n{}\n\
@@ -375,23 +401,38 @@ pub fn fig16(scenario: &Scenario, scale_down: u32) -> Artifact {
     Artifact {
         name: "fig16",
         text,
-        csv,
+        csv: csv.to_csv(),
     }
 }
 
-/// Parse `--quick` / `--scale N` CLI flags shared by all repro binaries.
-/// Returns the scale-down divisor (1 = paper-sized).
+/// Parse the `--quick` / `--scale N` flags shared by all repro binaries
+/// into the scale-down divisor (1 = paper-sized, `--quick` = 64).
+pub fn parse_scale(args: &[String]) -> Result<u32, String> {
+    if args.iter().any(|a| a == "--quick") {
+        return Ok(64);
+    }
+    let Some(i) = args.iter().position(|a| a == "--scale") else {
+        return Ok(1);
+    };
+    match args.get(i + 1).map(|v| (v, v.parse::<u32>())) {
+        Some((_, Ok(n))) if n > 0 => Ok(n),
+        Some((v, _)) => Err(format!("--scale needs a positive integer, got {v:?}")),
+        None => Err("--scale needs a value".to_string()),
+    }
+}
+
+/// [`parse_scale`] over the process arguments; on bad input prints the
+/// error and a usage line, then exits with status 2.
 pub fn scale_from_args() -> u32 {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--quick") {
-        return 64;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            return v;
-        }
-    }
-    1
+    parse_scale(&args).unwrap_or_else(|e| {
+        let bin = args
+            .first()
+            .and_then(|a| std::path::Path::new(a).file_name())
+            .map_or("repro".into(), |n| n.to_string_lossy());
+        eprintln!("{bin}: {e}\nusage: {bin} [--quick | --scale N] [flags]");
+        std::process::exit(2)
+    })
 }
 
 /// True when boolean flag `name` (e.g. `--analyze`) is on the command line.
@@ -426,5 +467,20 @@ mod tests {
     #[test]
     fn scale_parsing_defaults_to_one() {
         assert_eq!(scale_from_args(), 1);
+    }
+
+    #[test]
+    fn scale_flags_are_validated() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_scale(&args)
+        };
+        assert_eq!(parse(&["bin"]), Ok(1));
+        assert_eq!(parse(&["bin", "--quick"]), Ok(64));
+        assert_eq!(parse(&["bin", "--scale", "16"]), Ok(16));
+        assert!(parse(&["bin", "--scale", "0"]).is_err());
+        assert!(parse(&["bin", "--scale", "abc"]).is_err());
+        assert!(parse(&["bin", "--scale", "-4"]).is_err());
+        assert!(parse(&["bin", "--scale"]).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! The scheduling-policy sweep behind the `repro_sched` binary.
+//! The scheduling-policy sweep — `repro_bench --only sched`.
 //!
 //! Two experiments:
 //!
@@ -22,8 +22,7 @@ use gv_sim::SimDuration;
 use gv_virt::sched::{calibrated_batch_timeout, estimate_cost_ms};
 use gv_virt::SchedPolicy;
 
-use crate::report::{ms, x, TextTable};
-use crate::repro::Artifact;
+use crate::report::{Row, Sweep};
 use crate::scenario::{ExecutionMode, Scenario};
 
 /// Benchmarks the matrix sweeps (Table II microbenchmarks plus two
@@ -57,80 +56,40 @@ pub fn policies(n: usize, tasks: &[GpuTask], scenario: &Scenario) -> Vec<SchedPo
     ]
 }
 
-/// One policy × benchmark × N measurement.
-pub struct SchedPoint {
-    /// Policy label.
-    pub policy: &'static str,
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Process count.
-    pub nprocs: usize,
-    /// Group turnaround (max end − min start) in ms.
-    pub group_ms: f64,
-    /// Mean per-rank turnaround (own end − own start) in ms.
-    pub mean_rank_ms: f64,
-    /// Stream flushes the GVM performed.
-    pub flushes: u64,
-    /// Flushes covering a strict subset of the active ranks.
-    pub partial_flushes: u64,
-    /// Mean `STR` backlog at arrival.
-    pub queue_depth_mean: f64,
-    /// Total queueing delay the policy imposed, in ms.
-    pub idle_gap_ms: f64,
-    /// `gv-analyze` verdict (`None` when analysis is off).
-    pub clean: Option<bool>,
-}
-
-/// Run one policy point. `stagger` skews rank arrivals.
+/// Run one policy point. `stagger` skews rank arrivals; `base.analyze`
+/// turns on trace checking. `idle_gap_ms` is the total queueing delay the
+/// policy imposed; `queue_depth_mean` the mean `STR` backlog at arrival.
 pub fn run_point(
     base: &Scenario,
+    label: &str,
     policy: SchedPolicy,
     id: BenchmarkId,
     n: usize,
     scale_down: u32,
     stagger: SimDuration,
-    analyze: bool,
-) -> SchedPoint {
+) -> Row {
     let name = policy.name();
-    let scenario = Scenario {
-        analyze,
-        ..base.clone()
-    }
-    .with_scheduler(policy)
-    .with_stagger(stagger);
+    let scenario = base.clone().with_scheduler(policy).with_stagger(stagger);
     let task = Benchmark::scaled_task(id, &scenario.device, scale_down.max(1));
     let result = scenario.run_uniform(ExecutionMode::Virtualized, &task, n);
     let gvm = result.gvm.as_ref().expect("virtualized run has GVM stats");
     let mean_rank_ms = result.mean_phase(|r| r.end.duration_since(r.start).as_millis_f64());
-    SchedPoint {
-        policy: name,
-        benchmark: Benchmark::describe(id).name,
-        nprocs: n,
-        group_ms: result.turnaround_ms,
-        mean_rank_ms,
-        flushes: gvm.flushes,
-        partial_flushes: gvm.partial_flushes,
-        queue_depth_mean: gvm.queue_depth_mean(),
-        idle_gap_ms: gvm.idle_gap.as_millis_f64(),
-        clean: result.analysis.as_ref().map(|r| r.is_clean()),
-    }
+    Row::new(label, result.analysis.as_ref().map(|r| r.is_clean()))
+        .text("policy", name)
+        .text("benchmark", Benchmark::describe(id).name)
+        .int("nprocs", n as u64)
+        .ms("stagger_ms", stagger.as_millis_f64())
+        .ms("group_ms", result.turnaround_ms)
+        .ms("mean_rank_ms", mean_rank_ms)
+        .int("flushes", gvm.flushes)
+        .int("partial_flushes", gvm.partial_flushes)
+        .num("queue_depth_mean", gvm.queue_depth_mean(), 2)
+        .ms("idle_gap_ms", gvm.idle_gap.as_millis_f64())
 }
 
-/// The staggered-arrival headline comparison: mean per-rank turnaround of
-/// every policy on an 8-process VectorAdd group whose ranks arrive half a
-/// modeled service time apart.
-pub struct Headline {
-    /// Points in [`policies`] order.
-    pub points: Vec<SchedPoint>,
-    /// The stagger used.
-    pub stagger: SimDuration,
-    /// Best mean-turnaround improvement of `fcfs`/`adaptive` over
-    /// `joint`, as a fraction (0.10 = 10 %).
-    pub best_improvement: f64,
-}
-
-/// Run the headline experiment.
-pub fn headline(base: &Scenario, scale_down: u32, analyze: bool) -> Headline {
+/// The staggered-arrival headline: every policy on an 8-process
+/// VectorAdd group whose ranks arrive half a modeled service time apart.
+pub fn headline(base: &Scenario, scale_down: u32) -> Vec<Row> {
     let n = 8;
     let id = BenchmarkId::VecAdd;
     let task = Benchmark::scaled_task(id, &base.device, scale_down.max(1));
@@ -140,122 +99,61 @@ pub fn headline(base: &Scenario, scale_down: u32, analyze: bool) -> Headline {
     let cost = estimate_cost_ms(&task, &base.device, &base.node);
     let stagger = SimDuration::from_millis_f64(cost * 0.5);
     let tasks = vec![task; n];
-    let points: Vec<SchedPoint> = policies(n, &tasks, base)
+    policies(n, &tasks, base)
         .into_iter()
-        .map(|p| run_point(base, p, id, n, scale_down, stagger, analyze))
-        .collect();
-    let joint = points
-        .iter()
-        .find(|p| p.policy == "joint")
-        .expect("joint policy in set")
-        .mean_rank_ms;
-    let best_improvement = points
-        .iter()
-        .filter(|p| p.policy == "fcfs" || p.policy == "adaptive")
-        .map(|p| 1.0 - p.mean_rank_ms / joint)
-        .fold(f64::MIN, f64::max);
-    Headline {
-        points,
-        stagger,
-        best_improvement,
-    }
+        .map(|p| run_point(base, "staggered", p, id, n, scale_down, stagger))
+        .collect()
 }
 
-/// Run the full matrix plus the headline and render the artifact.
-/// `clean` in the returned tuple is `false` if any analyzed trace had
-/// diagnostics (always `true` when `analyze` is off).
-pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, bool) {
-    let mut csv = String::from(
-        "experiment,policy,benchmark,nprocs,group_ms,mean_rank_ms,flushes,\
-         partial_flushes,queue_depth_mean,idle_gap_ms,analyzed_clean\n",
-    );
-    let mut clean = true;
-    let push = |csv: &mut String, experiment: &str, p: &SchedPoint| {
-        csv.push_str(&format!(
-            "{experiment},{},{},{},{:.3},{:.3},{},{},{:.2},{:.3},{}\n",
-            p.policy,
-            p.benchmark,
-            p.nprocs,
-            p.group_ms,
-            p.mean_rank_ms,
-            p.flushes,
-            p.partial_flushes,
-            p.queue_depth_mean,
-            p.idle_gap_ms,
-            p.clean.map(|c| c.to_string()).unwrap_or_default(),
-        ));
-    };
+/// Best mean-rank-turnaround improvement of `fcfs`/`adaptive` over
+/// `joint`, as a fraction (0.10 = 10 %), from [`headline`]'s rows (in
+/// [`policies`] order: joint, fcfs, adaptive, sjf).
+pub fn best_improvement(rows: &[Row]) -> f64 {
+    let joint = rows[0].value("mean_rank_ms");
+    rows[1..3]
+        .iter()
+        .map(|r| 1.0 - r.value("mean_rank_ms") / joint)
+        .fold(f64::MIN, f64::max)
+}
 
-    let mut text = format!("SCHEDULING POLICY SWEEP (scale 1/{scale_down})\n\n");
+/// Run the full lockstep matrix plus the staggered headline.
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> Sweep {
+    let base = &Scenario {
+        analyze,
+        ..base.clone()
+    };
+    let mut rows = Vec::new();
     for id in BENCHMARKS {
         for n in PROCS {
             let task = Benchmark::scaled_task(id, &base.device, scale_down.max(1));
             let tasks = vec![task; n];
-            let mut t = TextTable::new(vec![
-                "policy",
-                "group (ms)",
-                "mean rank (ms)",
-                "flushes",
-                "partial",
-                "mean depth",
-                "idle gap (ms)",
-            ]);
             for policy in policies(n, &tasks, base) {
-                let p = run_point(base, policy, id, n, scale_down, SimDuration::ZERO, analyze);
-                clean &= p.clean.unwrap_or(true);
-                t.row(vec![
-                    p.policy.to_string(),
-                    ms(p.group_ms),
-                    ms(p.mean_rank_ms),
-                    p.flushes.to_string(),
-                    p.partial_flushes.to_string(),
-                    format!("{:.2}", p.queue_depth_mean),
-                    ms(p.idle_gap_ms),
-                ]);
-                push(&mut csv, "matrix", &p);
+                rows.push(run_point(
+                    base,
+                    "matrix",
+                    policy,
+                    id,
+                    n,
+                    scale_down,
+                    SimDuration::ZERO,
+                ));
             }
-            text.push_str(&format!(
-                "{} × {n} processes:\n{}\n",
-                Benchmark::describe(id).name,
-                t.render()
-            ));
         }
     }
-
-    let hl = headline(base, scale_down, analyze);
-    let mut t = TextTable::new(vec!["policy", "mean rank (ms)", "vs joint", "flushes"]);
-    let joint = hl
-        .points
-        .iter()
-        .find(|p| p.policy == "joint")
-        .expect("joint in headline")
-        .mean_rank_ms;
-    for p in &hl.points {
-        clean &= p.clean.unwrap_or(true);
-        t.row(vec![
-            p.policy.to_string(),
-            ms(p.mean_rank_ms),
-            x(joint / p.mean_rank_ms),
-            p.flushes.to_string(),
-        ]);
-        push(&mut csv, "staggered", p);
+    let staggered = headline(base, scale_down);
+    let notes = format!(
+        "Best fcfs/adaptive improvement over joint in the staggered 8-process\n\
+         VectorAdd headline (mean rank turnaround): {:.1}%\n",
+        best_improvement(&staggered) * 100.0
+    );
+    rows.extend(staggered);
+    Sweep {
+        name: "sched",
+        title: "SCHEDULING POLICY SWEEP".to_string(),
+        scale: scale_down,
+        rows,
+        notes,
     }
-    text.push_str(&format!(
-        "HEADLINE — 8-process VectorAdd, arrivals staggered {} apart:\n{}\n\
-         Best fcfs/adaptive improvement over joint (mean rank turnaround): {:.1}%\n",
-        ms(hl.stagger.as_millis_f64()),
-        t.render(),
-        hl.best_improvement * 100.0
-    ));
-
-    (
-        Artifact {
-            name: "sched",
-            text,
-            csv,
-        },
-        clean,
-    )
 }
 
 #[cfg(test)]
@@ -265,11 +163,10 @@ mod tests {
     #[test]
     fn staggered_vecadd_headline_beats_joint_by_10pct() {
         // The acceptance criterion, at smoke scale so the suite stays fast.
-        let hl = headline(&Scenario::default(), 64, false);
+        let best = best_improvement(&headline(&Scenario::default(), 64));
         assert!(
-            hl.best_improvement >= 0.10,
-            "best fcfs/adaptive improvement {:.3} < 10%",
-            hl.best_improvement
+            best >= 0.10,
+            "best fcfs/adaptive improvement {best:.3} < 10%"
         );
     }
 
@@ -279,17 +176,18 @@ mod tests {
         let task = Benchmark::scaled_task(BenchmarkId::VecAdd, &base.device, 256);
         let tasks = vec![task; 2];
         for policy in policies(2, &tasks, &base) {
+            let name = policy.name();
             let p = run_point(
                 &base,
+                "matrix",
                 policy,
                 BenchmarkId::VecAdd,
                 2,
                 256,
                 SimDuration::ZERO,
-                false,
             );
-            assert!(p.group_ms > 0.0);
-            assert!(p.flushes >= 1, "{}: no flush", p.policy);
+            assert!(p.value("group_ms") > 0.0);
+            assert!(p.value("flushes") >= 1.0, "{name}: no flush");
         }
     }
 }

@@ -8,13 +8,12 @@
 
 use gv_gpu::DeviceConfig;
 use gv_kernels::BenchmarkId;
-use serde::Serialize;
 
 use crate::scenario::Scenario;
 use crate::turnaround;
 
 /// Speedup of one benchmark at `nprocs` on one device preset.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityPoint {
     /// Device preset name.
     pub device: &'static str,

@@ -2,7 +2,6 @@
 //! and the experimental half of Table III.
 
 use gv_kernels::{Benchmark, BenchmarkId};
-use serde::Serialize;
 
 use crate::scenario::{ExecutionMode, Scenario};
 
@@ -29,7 +28,7 @@ impl TurnaroundConfig {
 }
 
 /// One point of a turnaround series.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TurnaroundPoint {
     /// Process count.
     pub nprocs: usize,
@@ -47,7 +46,7 @@ impl TurnaroundPoint {
 }
 
 /// A complete sweep (one paper figure's data).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TurnaroundSeries {
     /// Benchmark name.
     pub benchmark: String,

@@ -1,5 +1,5 @@
-//! Zero-copy descriptor-passing transport sweep — the `repro_zerocopy`
-//! binary.
+//! Zero-copy descriptor-passing transport sweep — `repro_bench --only
+//! zerocopy`.
 //!
 //! Compares the staged-copy request path (the seed wire format, kept as a
 //! config-selectable ablation) against the zero-copy transport — the GVM
@@ -23,65 +23,25 @@ use gv_model::request_overhead;
 use gv_virt::MemConfig;
 
 use crate::pipeline::payload_task;
-use crate::report::{ms, pct, TextTable};
-use crate::repro::Artifact;
-use crate::scenario::{ExecutionMode, Scenario};
+use crate::report::{ms, Row, Sweep, TextTable};
+use crate::scenario::{ExecutionMode, ExperimentResult, Scenario};
 
-/// Staged input payload sizes (MiB per rank) — the ISSUE's acceptance
+/// Staged input payload sizes (MiB per rank) — the acceptance
 /// points.
 pub const PAYLOADS_MIB: [u64; 3] = [1, 16, 64];
 
 /// Process count for every swept point.
 pub const NPROCS: usize = 8;
 
-/// One payload-size measurement: staged ablation vs zero-copy transport.
-pub struct ZeroCopyPoint {
-    /// Staged input payload per rank, MiB.
-    pub payload_mib: f64,
-    /// Process count.
-    pub nprocs: usize,
-    /// Post-init turnaround (`end − init_done`) of one direct
-    /// (unvirtualized, single process) execution — the raw-device
-    /// baseline the overheads are measured against. Initialization is
-    /// excluded: it is one-time, not per-request.
-    pub direct_ms: f64,
-    /// Mean per-rank turnaround, staged-copy ablation (ms).
-    pub staged_rank_ms: f64,
-    /// Mean per-rank turnaround, zero-copy transport (ms).
-    pub zc_rank_ms: f64,
-    /// GVM staging-copy time under the ablation (shm→pinned + pinned→shm).
-    pub staged_copy_ms: f64,
-    /// GVM staging-copy time under zero-copy (the dropped copies; ~0).
-    pub zc_copy_ms: f64,
-    /// `SND` staging copies the GVM performed under the ablation.
-    pub staged_snd_copies: u64,
-    /// `SND` staging copies under zero-copy (must be 0).
-    pub zc_snd_copies: u64,
-    /// `gv-analyze` verdict over both virtualized traces (`None` when
-    /// analysis is off).
-    pub clean: Option<bool>,
-}
-
-impl ZeroCopyPoint {
-    /// Mean per-request overhead of the staged ablation (ms).
-    pub fn staged_overhead(&self) -> f64 {
-        self.staged_rank_ms - self.direct_ms
-    }
-
-    /// Mean per-request overhead of the zero-copy transport (ms).
-    pub fn zc_overhead(&self) -> f64 {
-        self.zc_rank_ms - self.direct_ms
-    }
-
-    /// Overhead reduction over the staged ablation, as a fraction.
-    pub fn improvement(&self) -> f64 {
-        1.0 - self.zc_overhead() / self.staged_overhead()
-    }
-}
-
 /// Run one payload point: the direct baseline once, then the virtualized
 /// group under the staged ablation and under the zero-copy transport.
-pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -> ZeroCopyPoint {
+///
+/// `direct_ms` is the post-init turnaround (`end − init_done`) of one
+/// direct (unvirtualized, single process) execution — the raw-device
+/// baseline the overheads are measured against; initialization is
+/// one-time, not per-request. `*_overhead_ms` is the mean per-rank
+/// turnaround minus that baseline.
+pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -> Row {
     let run = |mem: MemConfig| {
         let scenario = Scenario {
             analyze,
@@ -100,103 +60,39 @@ pub fn run_point(base: &Scenario, payload_bytes: u64, n: usize, analyze: bool) -
     let zc = run(MemConfig::zero_copy());
     let sg = staged.gvm.as_ref().expect("virtualized run has GVM stats");
     let zg = zc.gvm.as_ref().expect("virtualized run has GVM stats");
-    let mean = |r: &crate::scenario::ExperimentResult| {
-        r.mean_phase(|t| t.end.duration_since(t.start).as_millis_f64())
-    };
-    let clean = match (
-        staged.analysis.as_ref().map(|r| r.is_clean()),
-        zc.analysis.as_ref().map(|r| r.is_clean()),
-    ) {
-        (Some(s), Some(z)) => Some(s && z),
+    let mean =
+        |r: &ExperimentResult| r.mean_phase(|t| t.end.duration_since(t.start).as_millis_f64());
+    let clean = match (&staged.analysis, &zc.analysis) {
+        (Some(s), Some(z)) => Some(s.is_clean() && z.is_clean()),
         _ => None,
     };
-    ZeroCopyPoint {
-        payload_mib: payload_bytes as f64 / (1 << 20) as f64,
-        nprocs: n,
-        direct_ms: direct.mean_phase(|t| t.end.duration_since(t.init_done).as_millis_f64()),
-        staged_rank_ms: mean(&staged),
-        zc_rank_ms: mean(&zc),
-        staged_copy_ms: sg.copy_time.as_millis_f64(),
-        zc_copy_ms: zg.copy_time.as_millis_f64(),
-        staged_snd_copies: sg.snd_copies,
-        zc_snd_copies: zg.snd_copies,
-        clean,
-    }
+    let direct_ms = direct.mean_phase(|t| t.end.duration_since(t.init_done).as_millis_f64());
+    let (staged_ms, zc_ms) = (mean(&staged), mean(&zc));
+    let (staged_ovh, zc_ovh) = (staged_ms - direct_ms, zc_ms - direct_ms);
+    Row::new("overhead", clean)
+        .num("payload_mib", payload_bytes as f64 / (1 << 20) as f64, 3)
+        .int("nprocs", n as u64)
+        .ms("direct_ms", direct_ms)
+        .ms("staged_rank_ms", staged_ms)
+        .ms("zc_rank_ms", zc_ms)
+        .ms("staged_overhead_ms", staged_ovh)
+        .ms("zc_overhead_ms", zc_ovh)
+        .num("improvement", 1.0 - zc_ovh / staged_ovh, 4)
+        .ms("staged_copy_ms", sg.copy_time.as_millis_f64())
+        .ms("zc_copy_ms", zg.copy_time.as_millis_f64())
+        .int("staged_snd_copies", sg.snd_copies)
+        .int("zc_snd_copies", zg.snd_copies)
 }
 
-/// Render the machine-readable benchmark record (`BENCH_zerocopy.json`).
-pub fn bench_json(points: &[ZeroCopyPoint]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"zerocopy\",\n");
-    out.push_str(&format!(
-        "  \"nprocs\": {},\n  \"points\": [\n",
-        points.first().map_or(NPROCS, |p| p.nprocs)
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"payload_mib\": {:.3}, \"staged_overhead_ms\": {:.6}, \
-             \"zerocopy_overhead_ms\": {:.6}, \"improvement\": {:.4}, \
-             \"staged_gvm_copy_ms\": {:.6}, \"zerocopy_gvm_copy_ms\": {:.6}, \
-             \"zerocopy_snd_copies\": {}}}{}\n",
-            p.payload_mib,
-            p.staged_overhead(),
-            p.zc_overhead(),
-            p.improvement(),
-            p.staged_copy_ms,
-            p.zc_copy_ms,
-            p.zc_snd_copies,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Run the sweep; returns the artifact, the `BENCH_zerocopy.json` record,
-/// and whether every analyzed trace was clean.
-pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, String, bool) {
-    let mut csv = String::from(
-        "payload_mib,nprocs,direct_ms,staged_rank_ms,zc_rank_ms,\
-         staged_overhead_ms,zc_overhead_ms,improvement,staged_copy_ms,\
-         zc_copy_ms,staged_snd_copies,zc_snd_copies,analyzed_clean\n",
-    );
-    let mut clean = true;
-    let mut points = Vec::new();
-    let mut t = TextTable::new(vec![
-        "payload (MiB)",
-        "staged ovh (ms)",
-        "zero-copy ovh (ms)",
-        "improvement",
-        "GVM copy staged/zc (ms)",
-    ]);
-    for &mib in &PAYLOADS_MIB {
-        let payload = (mib << 20) / u64::from(scale_down.max(1));
-        let p = run_point(base, payload, NPROCS, analyze);
-        clean &= p.clean.unwrap_or(true);
-        t.row(vec![
-            format!("{:.2}", p.payload_mib),
-            ms(p.staged_overhead()),
-            ms(p.zc_overhead()),
-            pct(p.improvement()),
-            format!("{} / {}", ms(p.staged_copy_ms), ms(p.zc_copy_ms)),
-        ]);
-        csv.push_str(&format!(
-            "{:.3},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.4},{:.3},{:.3},{},{},{}\n",
-            p.payload_mib,
-            p.nprocs,
-            p.direct_ms,
-            p.staged_rank_ms,
-            p.zc_rank_ms,
-            p.staged_overhead(),
-            p.zc_overhead(),
-            p.improvement(),
-            p.staged_copy_ms,
-            p.zc_copy_ms,
-            p.staged_snd_copies,
-            p.zc_snd_copies,
-            p.clean.map(|c| c.to_string()).unwrap_or_default(),
-        ));
-        points.push(p);
-    }
+/// Run the sweep over [`PAYLOADS_MIB`] at [`NPROCS`] processes.
+pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> Sweep {
+    let rows = PAYLOADS_MIB
+        .iter()
+        .map(|&mib| {
+            let payload = (mib << 20) / u64::from(scale_down.max(1));
+            run_point(base, payload, NPROCS, analyze)
+        })
+        .collect();
     // The analytical side of the same comparison (gv-model's
     // `request_overhead` term): per-byte copy rate and mq latency are
     // arbitrary units here — the point is the *shape* of the predicted
@@ -205,48 +101,27 @@ pub fn sweep(base: &Scenario, scale_down: u32, analyze: bool) -> (Artifact, Stri
     for &mib in &PAYLOADS_MIB {
         let bytes = (mib << 20) as f64;
         // VectorAdd-shaped: output is half the input payload.
-        let (r, l) = (1e-6, 0.02);
-        m.row(vec![
-            format!("{mib}"),
-            ms(request_overhead(
-                bytes,
-                bytes / 2.0,
-                r,
-                l,
-                NPROCS as u32,
-                false,
-            )),
-            ms(request_overhead(
-                bytes,
-                bytes / 2.0,
-                r,
-                l,
-                NPROCS as u32,
-                true,
-            )),
-        ]);
+        let model =
+            |zero_copy| request_overhead(bytes, bytes / 2.0, 1e-6, 0.02, NPROCS as u32, zero_copy);
+        m.row(vec![format!("{mib}"), ms(model(false)), ms(model(true))]);
     }
-    let text = format!(
-        "ZERO-COPY TRANSPORT SWEEP (scale 1/{scale_down})\n\n\
-         Mean per-request overhead over direct execution, {NPROCS} processes,\n\
-         staged-copy ablation vs descriptor-passing zero-copy transport:\n{}\n\
-         Model prediction (gv-model request_overhead, arbitrary units):\n{}\n\
-         Zero-copy drops both GVM staging copies (shm→pinned at SND,\n\
-         pinned→shm at RCV) and batches STR flush ACKs to one mq latency\n\
-         charge per flush; the client's shm write IS the staging copy.\n",
-        t.render(),
-        m.render(),
-    );
-    let json = bench_json(&points);
-    (
-        Artifact {
-            name: "zerocopy",
-            text,
-            csv,
-        },
-        json,
-        clean,
-    )
+    Sweep {
+        name: "zerocopy",
+        title: format!(
+            "ZERO-COPY TRANSPORT SWEEP — mean per-request overhead over direct \
+             execution, {NPROCS} processes, staged-copy ablation vs descriptor-passing \
+             zero-copy transport"
+        ),
+        scale: scale_down,
+        rows,
+        notes: format!(
+            "Model prediction (gv-model request_overhead, arbitrary units):\n{}\n\
+             Zero-copy drops both GVM staging copies (shm→pinned at SND,\n\
+             pinned→shm at RCV) and batches STR flush ACKs to one mq latency\n\
+             charge per flush; the client's shm write IS the staging copy.\n",
+            m.render()
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -255,20 +130,27 @@ mod tests {
 
     #[test]
     fn zero_copy_overhead_strictly_below_staged_at_every_payload() {
-        // The ISSUE's acceptance gate, at full payload (timing-only tasks
+        // The acceptance gate, at full payload (timing-only tasks
         // make 64 MiB free to simulate).
         for &mib in &PAYLOADS_MIB {
             let p = run_point(&Scenario::default(), mib << 20, NPROCS, false);
+            let (zc, staged) = (p.value("zc_overhead_ms"), p.value("staged_overhead_ms"));
             assert!(
-                p.zc_overhead() < p.staged_overhead(),
-                "{mib} MiB: zero-copy overhead {:.4} ms must be strictly \
-                 below staged {:.4} ms",
-                p.zc_overhead(),
-                p.staged_overhead()
+                zc < staged,
+                "{mib} MiB: zero-copy overhead {zc:.4} ms must be strictly \
+                 below staged {staged:.4} ms"
             );
-            assert_eq!(p.zc_snd_copies, 0, "zero-copy must not stage at SND");
-            assert!(p.staged_snd_copies > 0);
-            assert_eq!(p.zc_copy_ms, 0.0, "no GVM-side staging copies under zc");
+            assert_eq!(
+                p.value("zc_snd_copies"),
+                0.0,
+                "zero-copy must not stage at SND"
+            );
+            assert!(p.value("staged_snd_copies") > 0.0);
+            assert_eq!(
+                p.value("zc_copy_ms"),
+                0.0,
+                "no GVM-side staging copies under zc"
+            );
         }
     }
 
@@ -276,13 +158,5 @@ mod tests {
     fn zero_copy_traces_are_analyze_clean() {
         let p = run_point(&Scenario::default(), 1 << 20, 4, true);
         assert_eq!(p.clean, Some(true));
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let (_, json, _) = sweep(&Scenario::default(), 256, false);
-        assert!(json.contains("\"bench\": \"zerocopy\""));
-        assert_eq!(json.matches("\"payload_mib\":").count(), PAYLOADS_MIB.len());
-        assert!(json.contains("\"zerocopy_overhead_ms\""));
     }
 }
