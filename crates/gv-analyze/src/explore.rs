@@ -1,7 +1,7 @@
 //! Systematic schedule exploration (DPOR-lite model checking) over the
 //! deterministic simulator.
 //!
-//! The engine consults a [`SchedOracle`](gv_sim::SchedOracle) at every point where more than one
+//! The engine consults a [`SchedOracle`] at every point where more than one
 //! continuation is possible (a run queue with ≥2 ready processes, a timer
 //! tie). A schedule is therefore fully determined by its *choice vector* —
 //! the sequence of candidate indices the oracle returned — and index `0`

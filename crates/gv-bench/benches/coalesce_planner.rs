@@ -15,7 +15,7 @@
 //!   multi-span): alternating short runs and singletons.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use gv_mem::{CoalesceConfig, CoalesceMember, CoalescePlan};
+use gv_mem::{CoalesceMember, CoalescePlan, MAX_GROUP};
 
 /// Member slices per layout at one rank count. 64 KiB payloads in 64 KiB
 /// size classes — the sweep's small-payload point.
@@ -38,13 +38,12 @@ fn members(n: usize, layout: &str) -> Vec<CoalesceMember> {
 }
 
 fn bench(c: &mut Criterion) {
-    let cfg = CoalesceConfig::on();
     let mut g = c.benchmark_group("coalesce_planner");
     for n in [8usize, 64, 512, 4096] {
         for layout in ["adjacent", "fragmented", "mixed"] {
             let input = members(n, layout);
             g.bench_function(&format!("{layout}_{n}"), |b| {
-                b.iter(|| CoalescePlan::plan(black_box(&cfg), black_box(&input)))
+                b.iter(|| CoalescePlan::plan(black_box(&input)))
             });
         }
     }
@@ -53,12 +52,11 @@ fn bench(c: &mut Criterion) {
     // Print the partition shape once per count so a bench run doubles as
     // a sanity table (matches the other benches' println convention).
     for n in [8usize, 64, 512, 4096] {
-        let plan = CoalescePlan::plan(&cfg, &members(n, "adjacent"));
+        let plan = CoalescePlan::plan(&members(n, "adjacent"));
         println!(
-            "planner[adjacent/{n}]: {} runs, {} fused members (max_group {})",
+            "planner[adjacent/{n}]: {} runs, {} fused members (MAX_GROUP {MAX_GROUP})",
             plan.runs.len(),
             plan.fused_members(),
-            cfg.max_group
         );
     }
 }

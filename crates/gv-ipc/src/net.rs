@@ -1,7 +1,7 @@
 //! A point-to-point cluster interconnect link.
 //!
-//! Used by the remote-GPU baseline (paper §II, Duato et al. [11] / gVirtuS
-//! [10]): client nodes without GPUs ship API calls and data to a GPU node
+//! Used by the remote-GPU baseline (paper §II, Duato et al. \[11\] /
+//! gVirtuS \[10\]): client nodes without GPUs ship API calls and data to a GPU node
 //! over TCP/IP or InfiniBand. The link is full-duplex — each direction is a
 //! FIFO served at the configured bandwidth with a per-message latency.
 

@@ -135,8 +135,8 @@ impl GpuTask {
     }
 
     /// Input bytes round `round` stages per iteration: the shaped
-    /// per-round size when one was declared, else [`bytes_in`]
-    /// (`Self::bytes_in`).
+    /// per-round size when one was declared, else
+    /// [`bytes_in`](Self::bytes_in).
     pub fn bytes_in_for_round(&self, round: u32) -> u64 {
         self.round_bytes_in
             .get(round as usize)

@@ -20,11 +20,23 @@
 //! Fusion eligibility is decided per member by the *caller* (quota
 //! admission, monolithic single-span transfer, swap not configured) and
 //! passed in via [`CoalesceMember::eligible`]; the planner itself gates
-//! only on what it can see: the config switch, the per-member payload
-//! threshold, lease adjacency, and the group-size cap.
+//! only on what it can see: the per-member payload threshold
+//! ([`FUSE_THRESHOLD`]), lease adjacency, and the group-size cap
+//! ([`MAX_GROUP`]). The GVM consults the planner only when coalescing is
+//! on ([`MemConfig::coalesce`](crate::MemConfig::coalesce)).
 
-use crate::config::CoalesceConfig;
 use crate::pool::StagingLease;
+
+/// Largest per-member payload (bytes) eligible for DMA fusion. Big
+/// transfers are bandwidth-bound — fusing them buys one `dma_latency`
+/// against a multi-millisecond copy — so fusion targets the small
+/// fixed-cost-dominated end. Kernel-launch batching is *not* gated by this
+/// threshold.
+pub const FUSE_THRESHOLD: u64 = 4 << 20;
+
+/// Cap on members per fused DMA submission. Bounds the blast radius of one
+/// fused op (a fault mid-batch re-exposes every member).
+pub const MAX_GROUP: usize = 16;
 
 /// One admitted flush member, as the planner sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,21 +86,17 @@ pub struct CoalescePlan {
 }
 
 impl CoalescePlan {
-    /// Partition `members` (in flush order) into fusable runs under `cfg`.
+    /// Partition `members` (in flush order) into fusable runs.
     ///
-    /// A member extends the current run iff coalescing is enabled, both it
-    /// and the run's tail are [`eligible`](CoalesceMember::eligible), its
-    /// payload is non-zero and at most [`fuse_threshold`]
-    /// (`CoalesceConfig::fuse_threshold`), its lease region starts exactly
-    /// where the tail's region ends, and the run is still under
-    /// [`max_group`](CoalesceConfig::max_group). Otherwise it starts a
-    /// new run. With coalescing disabled every member is a singleton.
-    ///
-    /// [`fuse_threshold`]: CoalesceConfig::fuse_threshold
-    pub fn plan(cfg: &CoalesceConfig, members: &[CoalesceMember]) -> Self {
+    /// A member extends the current run iff both it and the run's tail are
+    /// [`eligible`](CoalesceMember::eligible), its payload is non-zero and
+    /// at most [`FUSE_THRESHOLD`], its lease region starts exactly where
+    /// the tail's region ends, and the run is still under [`MAX_GROUP`].
+    /// Otherwise it starts a new run.
+    pub fn plan(members: &[CoalesceMember]) -> Self {
         let mut runs: Vec<Vec<usize>> = Vec::new();
         for (i, m) in members.iter().enumerate() {
-            let fusable = cfg.enabled && m.eligible && m.bytes > 0 && m.bytes <= cfg.fuse_threshold;
+            let fusable = m.eligible && m.bytes > 0 && m.bytes <= FUSE_THRESHOLD;
             let extends = fusable
                 && runs.last().is_some_and(|run| {
                     let tail = &members[*run.last().expect("runs are never empty")];
@@ -97,9 +105,9 @@ impl CoalescePlan {
                     // regions must touch, and the group must have room.
                     tail.eligible
                         && tail.bytes > 0
-                        && tail.bytes <= cfg.fuse_threshold
+                        && tail.bytes <= FUSE_THRESHOLD
                         && tail.place + tail.cap == m.place
-                        && run.len() < cfg.max_group.max(1)
+                        && run.len() < MAX_GROUP
                 });
             if extends {
                 runs.last_mut().expect("checked above").push(i);
@@ -159,18 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_yields_all_singletons() {
-        let members = adjacent(4);
-        let plan = CoalescePlan::plan(&CoalesceConfig::default(), &members);
-        assert_eq!(plan.runs.len(), 4);
-        assert_eq!(plan.fused_runs(), 0);
-        assert_eq!(flat(&plan), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn adjacent_members_fuse_into_one_run() {
         let members = adjacent(4);
-        let plan = CoalescePlan::plan(&CoalesceConfig::on(), &members);
+        let plan = CoalescePlan::plan(&members);
         assert_eq!(plan.runs, vec![vec![0, 1, 2, 3]]);
         assert_eq!(plan.fused_runs(), 1);
         assert_eq!(plan.fused_members(), 4);
@@ -182,7 +181,7 @@ mod tests {
         let mut members = adjacent(4);
         members[2].place += 4096; // hole between members 1 and 2
         members[3].place += 4096;
-        let plan = CoalescePlan::plan(&CoalesceConfig::on(), &members);
+        let plan = CoalescePlan::plan(&members);
         assert_eq!(plan.runs, vec![vec![0, 1], vec![2, 3]]);
         assert_eq!(plan.fused_runs(), 2);
     }
@@ -191,8 +190,8 @@ mod tests {
     fn ineligible_and_oversized_members_are_singletons() {
         let mut members = adjacent(5);
         members[1].eligible = false;
-        members[3].bytes = (4 << 20) + 1; // over the default threshold
-        let plan = CoalescePlan::plan(&CoalesceConfig::on(), &members);
+        members[3].bytes = FUSE_THRESHOLD + 1;
+        let plan = CoalescePlan::plan(&members);
         // 0 can't fuse past ineligible 1; 2 can't fuse into oversized 3;
         // 4 can't extend a run whose tail (3) is unfusable.
         assert_eq!(plan.runs, vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
@@ -201,20 +200,20 @@ mod tests {
 
     #[test]
     fn max_group_caps_run_length() {
-        let members = adjacent(5);
-        let cfg = CoalesceConfig {
-            max_group: 2,
-            ..CoalesceConfig::on()
-        };
-        let plan = CoalescePlan::plan(&cfg, &members);
-        assert_eq!(plan.runs, vec![vec![0, 1], vec![2, 3], vec![4]]);
+        let n = MAX_GROUP + 3;
+        let plan = CoalescePlan::plan(&adjacent(n));
+        assert_eq!(
+            plan.runs,
+            vec![(0..MAX_GROUP).collect::<Vec<_>>(), (MAX_GROUP..n).collect()]
+        );
+        assert_eq!(flat(&plan), (0..n).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_byte_members_never_fuse() {
         let mut members = adjacent(3);
         members[1].bytes = 0;
-        let plan = CoalescePlan::plan(&CoalesceConfig::on(), &members);
+        let plan = CoalescePlan::plan(&members);
         assert_eq!(plan.runs, vec![vec![0], vec![1], vec![2]]);
     }
 
@@ -242,13 +241,13 @@ mod tests {
                 eligible: true,
             },
         ];
-        let plan = CoalescePlan::plan(&CoalesceConfig::on(), &members);
+        let plan = CoalescePlan::plan(&members);
         assert_eq!(plan.runs, vec![vec![0, 1]]);
     }
 
     #[test]
     fn empty_input_yields_empty_plan() {
-        let plan = CoalescePlan::plan(&CoalesceConfig::on(), &[]);
+        let plan = CoalescePlan::plan(&[]);
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 0);
     }

@@ -1,7 +1,5 @@
 //! Transfer-pipelining configuration and the chunked transfer planner.
 
-use crate::pool::PoolConfig;
-
 /// One contiguous byte span of a payload transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
@@ -148,63 +146,14 @@ impl PipelineConfig {
     }
 }
 
-/// Cross-rank DMA coalescing and batched kernel launch in the flush path.
-///
-/// When a flush admits multiple ranks, the coalescing planner
-/// ([`CoalescePlan`](crate::CoalescePlan)) fuses adjacent same-direction
-/// staging transfers into single large DMA submissions (the follower
-/// sub-ops elide the per-op DMA setup latency) and groups the co-flushed
-/// ranks' kernel launches into one batched submission that charges the
-/// host launch overhead once. Off by default: the uncoalesced flush path
-/// is then bit-identical to the pre-coalescing schedule and serves as the
-/// ablation baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// Master switch. When `false` the flush path never consults the
-    /// planner and the schedule is bit-identical to the uncoalesced one.
-    pub enabled: bool,
-    /// Largest per-member payload (bytes) eligible for DMA fusion. Big
-    /// transfers are bandwidth-bound — fusing them buys one `dma_latency`
-    /// against a multi-millisecond copy — so fusion targets the small
-    /// fixed-cost-dominated end. Kernel-launch batching is *not* gated by
-    /// this threshold.
-    pub fuse_threshold: u64,
-    /// Cap on members per fused DMA submission. Bounds the blast radius
-    /// of one fused op (a fault mid-batch re-exposes every member).
-    pub max_group: usize,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        CoalesceConfig {
-            enabled: false,
-            fuse_threshold: 4 << 20,
-            max_group: 16,
-        }
-    }
-}
-
-impl CoalesceConfig {
-    /// Coalescing on with the default threshold and group cap.
-    pub fn on() -> Self {
-        CoalesceConfig {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
-
 /// Buffer-lifecycle configuration carried by the GVM.
 ///
 /// The pinned staging pool and device-allocation cache are always on (they
-/// cost no simulated time); the pipeline knobs and the pool's bounding
-/// policy are configurable.
+/// cost no simulated time); the transfer path is configurable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemConfig {
     /// Chunked copy/compute pipelining; disabled by default.
     pub pipeline: PipelineConfig,
-    /// Staging-pool bounding: high-water shrink, lease cap, NUMA split.
-    pub pool: PoolConfig,
     /// Zero-copy transport: the GVM exports each rank's pinned staging
     /// lease *as* its shared-memory segment and hands the client a
     /// generation-stamped [`StagingDescriptor`](crate::StagingDescriptor)
@@ -216,10 +165,16 @@ pub struct MemConfig {
     /// Incompatible with [`PipelineConfig::steady`] double-buffering (a
     /// single exported segment cannot also be a double buffer).
     pub zero_copy: bool,
-    /// Cross-rank DMA coalescing and batched kernel launch at flush;
-    /// disabled by default (the uncoalesced schedule is the ablation
-    /// baseline).
-    pub coalesce: CoalesceConfig,
+    /// Cross-rank DMA coalescing and batched kernel launch at flush. When
+    /// a flush admits several ranks, the coalescing planner
+    /// ([`CoalescePlan`](crate::CoalescePlan)) fuses adjacent
+    /// same-direction staging transfers into single large DMA submissions
+    /// (the follower sub-ops elide the per-op DMA setup latency) and groups
+    /// the co-flushed ranks' kernel launches into one batched submission
+    /// that charges the host launch overhead once. Off by default: the
+    /// flush path never consults the planner and the schedule is
+    /// bit-identical to the uncoalesced one, the ablation baseline.
+    pub coalesce: bool,
 }
 
 impl MemConfig {
@@ -237,19 +192,20 @@ impl MemConfig {
         self
     }
 
-    /// Convenience: the coalescing flush path with default fusion knobs.
+    /// Convenience: the coalescing flush path.
     pub fn coalesced() -> Self {
         MemConfig {
-            coalesce: CoalesceConfig::on(),
+            coalesce: true,
             ..Self::default()
         }
     }
 
     /// The same configuration with the coalescing flush path toggled.
     pub fn with_coalesce(mut self, on: bool) -> Self {
-        self.coalesce.enabled = on;
+        self.coalesce = on;
         self
     }
+
     /// Convenience: a config with chunked pipelining enabled.
     pub fn pipelined(chunks: usize, threshold: u64) -> Self {
         MemConfig {
@@ -269,12 +225,6 @@ impl MemConfig {
     /// The same configuration with steady-state iteration overlap on.
     pub fn with_steady(mut self) -> Self {
         self.pipeline = self.pipeline.with_steady();
-        self
-    }
-
-    /// The same configuration with a replaced pool policy.
-    pub fn with_pool(mut self, pool: PoolConfig) -> Self {
-        self.pool = pool;
         self
     }
 }
@@ -344,11 +294,6 @@ mod tests {
         assert!(a.pipeline.adaptive);
         assert!(a.pipeline.steady);
         assert_eq!(a.pipeline.chunks, 8);
-        let p = MemConfig::default().with_pool(PoolConfig {
-            max_free_bytes: None,
-            ..PoolConfig::default()
-        });
-        assert_eq!(p.pool.max_free_bytes, None);
         assert!(!MemConfig::default().zero_copy);
         let z = MemConfig::zero_copy();
         assert!(z.zero_copy);
@@ -358,17 +303,12 @@ mod tests {
 
     #[test]
     fn coalesce_config_builders() {
-        let d = CoalesceConfig::default();
-        assert!(!d.enabled);
-        assert_eq!(d.fuse_threshold, 4 << 20);
-        assert_eq!(d.max_group, 16);
-        assert!(!MemConfig::default().coalesce.enabled);
+        assert!(!MemConfig::default().coalesce);
         let c = MemConfig::coalesced();
-        assert!(c.coalesce.enabled);
+        assert!(c.coalesce);
         assert!(!c.zero_copy);
-        assert!(!MemConfig::coalesced().with_coalesce(false).coalesce.enabled);
-        assert!(MemConfig::zero_copy().with_coalesce(true).coalesce.enabled);
-        assert!(CoalesceConfig::on().enabled);
+        assert!(!MemConfig::coalesced().with_coalesce(false).coalesce);
+        assert!(MemConfig::zero_copy().with_coalesce(true).coalesce);
     }
 
     #[test]

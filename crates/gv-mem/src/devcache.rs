@@ -3,8 +3,9 @@
 //! The fault-tolerant GVM allocates a rank's device working set lazily at
 //! its first SND and frees it on eviction, so churny membership (evict,
 //! re-admit, next job wave) turns into `cudaMalloc`/`cudaFree` churn. The
-//! cache keeps freed allocations keyed by `(device, bytes)` and hands them
-//! back to the next rank requesting the same footprint.
+//! cache keeps freed allocations keyed by size and hands them back to the
+//! next rank requesting the same footprint. Each GVM serves one device, so
+//! one cache never mixes devices.
 //!
 //! Each parked entry carries the `SimTime` of the release that parked it,
 //! and lives in one of two states:
@@ -59,14 +60,13 @@ pub enum CachedAlloc {
 }
 
 struct Entry {
-    dev: usize,
     bytes: u64,
     /// Time of the release (or swap-out) that parked this entry.
     last_release: SimTime,
     state: CachedAlloc,
 }
 
-/// A cache of freed device allocations, keyed by `(device index, bytes)`.
+/// A cache of freed device allocations of one device, keyed by size.
 #[derive(Default)]
 pub struct DeviceAllocCache {
     inner: Mutex<Inner>,
@@ -84,21 +84,18 @@ impl DeviceAllocCache {
         Self::default()
     }
 
-    /// Take a cached allocation of exactly `bytes` on device `dev`, if one
-    /// is parked. Resident entries are preferred (most recently released
+    /// Take a cached allocation of exactly `bytes`, if one is parked. Resident entries are preferred (most recently released
     /// first); a swapped entry is returned only when no resident one fits.
     /// Counts a hit or a miss either way; on `None` the caller must
     /// allocate for real (and may later [`put`](Self::put) it back).
-    pub fn take(&self, dev: usize, bytes: u64) -> Option<CachedAlloc> {
+    pub fn take(&self, bytes: u64) -> Option<CachedAlloc> {
         let mut inner = self.inner.lock();
         let pick = |want_resident: bool, entries: &[Entry]| {
             entries
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| {
-                    e.dev == dev
-                        && e.bytes == bytes
-                        && matches!(e.state, CachedAlloc::Resident(_)) == want_resident
+                    e.bytes == bytes && matches!(e.state, CachedAlloc::Resident(_)) == want_resident
                 })
                 .max_by_key(|(i, e)| (e.last_release, *i))
                 .map(|(i, _)| i)
@@ -125,29 +122,28 @@ impl DeviceAllocCache {
     /// with the release time `now` for LRU victim selection. The caller
     /// must have synchronized the owning stream first: a parked allocation
     /// can be re-issued to another rank immediately.
-    pub fn put(&self, dev: usize, bytes: u64, ptr: DevicePtr, now: SimTime) {
+    pub fn put(&self, bytes: u64, ptr: DevicePtr, now: SimTime) {
         let mut inner = self.inner.lock();
         inner.stats.cached += 1;
         inner.entries.push(Entry {
-            dev,
             bytes,
             last_release: now,
             state: CachedAlloc::Resident(ptr),
         });
     }
 
-    /// Remove and return the least-recently-released **resident** entry on
-    /// `dev`, of any size — the demand-swap victim. Returns the footprint,
+    /// Remove and return the least-recently-released **resident** entry,
+    /// of any size — the demand-swap victim. Returns the footprint,
     /// the device pointer to copy out and free, and the park timestamp (to
     /// preserve across [`park_swapped`](Self::park_swapped)). Does not
     /// count as a hit or miss.
-    pub fn lru_resident(&self, dev: usize) -> Option<(u64, DevicePtr, SimTime)> {
+    pub fn lru_resident(&self) -> Option<(u64, DevicePtr, SimTime)> {
         let mut inner = self.inner.lock();
         let idx = inner
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.dev == dev && matches!(e.state, CachedAlloc::Resident(_)))
+            .filter(|(_, e)| matches!(e.state, CachedAlloc::Resident(_)))
             .min_by_key(|(i, e)| (e.last_release, *i))
             .map(|(i, _)| i)?;
         let entry = inner.entries.remove(idx);
@@ -161,12 +157,11 @@ impl DeviceAllocCache {
     /// Re-park an allocation whose contents were swapped out into `lease`,
     /// keeping its original `last_release` stamp so its LRU position is
     /// unchanged for future [`take`](Self::take) preference.
-    pub fn park_swapped(&self, dev: usize, bytes: u64, lease: StagingLease, last_release: SimTime) {
+    pub fn park_swapped(&self, bytes: u64, lease: StagingLease, last_release: SimTime) {
         let mut inner = self.inner.lock();
         inner.stats.cached += 1;
         inner.stats.swapped += 1;
         inner.entries.push(Entry {
-            dev,
             bytes,
             last_release,
             state: CachedAlloc::Swapped(lease),
@@ -174,25 +169,25 @@ impl DeviceAllocCache {
     }
 
     /// Empty the cache, returning every parked allocation as
-    /// `(device, bytes, state)` so the caller can perform the real frees
+    /// `(bytes, state)` so the caller can perform the real frees
     /// (resident) and pool recycles (swapped).
-    pub fn drain(&self) -> Vec<(usize, u64, CachedAlloc)> {
+    pub fn drain(&self) -> Vec<(u64, CachedAlloc)> {
         let mut inner = self.inner.lock();
         inner.stats.cached = 0;
         inner.stats.swapped = 0;
-        let mut out: Vec<(usize, u64, CachedAlloc)> = inner
+        let mut out: Vec<(u64, CachedAlloc)> = inner
             .entries
             .drain(..)
-            .map(|e| (e.dev, e.bytes, e.state))
+            .map(|e| (e.bytes, e.state))
             .collect();
         // Deterministic order regardless of park order: resident entries
         // (by allocation id) ahead of swapped ones (by lease id).
-        out.sort_by_key(|(dev, bytes, state)| {
+        out.sort_by_key(|(bytes, state)| {
             let (kind, id) = match state {
                 CachedAlloc::Resident(p) => (0u8, p.allocation_id()),
                 CachedAlloc::Swapped(l) => (1u8, l.id()),
             };
-            (*dev, *bytes, kind, id)
+            (*bytes, kind, id)
         });
         out
     }
@@ -245,35 +240,34 @@ mod tests {
     fn take_miss_then_put_then_hit() {
         let (a, _) = two_ptrs();
         let cache = DeviceAllocCache::new();
-        assert!(cache.take(0, 1024).is_none());
-        cache.put(0, 1024, a, t(10));
+        assert!(cache.take(1024).is_none());
+        cache.put(1024, a, t(10));
         assert_eq!(cache.stats().cached, 1);
-        assert_eq!(resident(cache.take(0, 1024)), a);
+        assert_eq!(resident(cache.take(1024)), a);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.cached), (1, 1, 0));
     }
 
     #[test]
-    fn keys_are_exact_device_and_size() {
+    fn keys_are_exact_sizes() {
         let (a, b) = two_ptrs();
         let cache = DeviceAllocCache::new();
-        cache.put(0, 1024, a, t(10));
-        cache.put(1, 2048, b, t(10));
-        assert!(cache.take(0, 2048).is_none(), "size must match exactly");
-        assert!(cache.take(1, 1024).is_none(), "device must match");
-        assert_eq!(resident(cache.take(1, 2048)), b);
+        cache.put(1024, a, t(10));
+        assert!(cache.take(2048).is_none(), "size must match exactly");
+        cache.put(2048, b, t(10));
+        assert_eq!(resident(cache.take(2048)), b);
     }
 
     #[test]
     fn drain_returns_everything_deterministically() {
         let (a, b) = two_ptrs();
         let cache = DeviceAllocCache::new();
-        cache.put(0, 1024, a, t(10));
-        cache.put(1, 2048, b, t(10));
+        cache.put(2048, b, t(10));
+        cache.put(1024, a, t(10));
         let drained = cache.drain();
         assert_eq!(drained.len(), 2);
-        assert!(matches!(drained[0], (0, 1024, CachedAlloc::Resident(p)) if p == a));
-        assert!(matches!(drained[1], (1, 2048, CachedAlloc::Resident(p)) if p == b));
+        assert!(matches!(drained[0], (1024, CachedAlloc::Resident(p)) if p == a));
+        assert!(matches!(drained[1], (2048, CachedAlloc::Resident(p)) if p == b));
         assert_eq!(cache.stats().cached, 0);
         assert!(cache.drain().is_empty());
     }
@@ -285,32 +279,18 @@ mod tests {
     fn lru_victim_is_by_release_time_not_insertion_order() {
         let (a, b) = two_ptrs();
         let cache = DeviceAllocCache::new();
-        cache.put(0, 1024, a, t(10));
-        cache.put(0, 2048, b, t(5));
-        let (bytes, ptr, released) = cache.lru_resident(0).unwrap();
+        cache.put(1024, a, t(10));
+        cache.put(2048, b, t(5));
+        let (bytes, ptr, released) = cache.lru_resident().unwrap();
         assert_eq!(
             (bytes, ptr, released),
             (2048, b, t(5)),
             "oldest release wins"
         );
-        let (bytes, ptr, _) = cache.lru_resident(0).unwrap();
+        let (bytes, ptr, _) = cache.lru_resident().unwrap();
         assert_eq!((bytes, ptr), (1024, a));
-        assert!(cache.lru_resident(0).is_none());
+        assert!(cache.lru_resident().is_none());
         assert_eq!(cache.stats().cached, 0);
-    }
-
-    #[test]
-    fn lru_victim_is_per_device() {
-        let (a, b) = two_ptrs();
-        let cache = DeviceAllocCache::new();
-        cache.put(1, 1024, a, t(5));
-        cache.put(0, 2048, b, t(10));
-        let (bytes, ptr, _) = cache.lru_resident(0).unwrap();
-        assert_eq!(
-            (bytes, ptr),
-            (2048, b),
-            "device 1's older entry is not a candidate"
-        );
     }
 
     fn lease(pool: &StagingPool, bytes: u64) -> StagingLease {
@@ -322,14 +302,14 @@ mod tests {
         let (a, _) = two_ptrs();
         let pool = StagingPool::new();
         let cache = DeviceAllocCache::new();
-        cache.park_swapped(0, 1024, lease(&pool, 1024), t(5));
-        cache.put(0, 1024, a, t(10));
+        cache.park_swapped(1024, lease(&pool, 1024), t(5));
+        cache.put(1024, a, t(10));
         let s = cache.stats();
         assert_eq!((s.cached, s.swapped), (2, 1));
         // Resident entry preferred even though the swapped one exists.
-        assert_eq!(resident(cache.take(0, 1024)), a);
+        assert_eq!(resident(cache.take(1024)), a);
         // Then the swapped one comes back as a lease.
-        match cache.take(0, 1024) {
+        match cache.take(1024) {
             Some(CachedAlloc::Swapped(l)) => assert!(l.capacity() >= 1024),
             other => panic!("expected swapped entry, got {other:?}"),
         }
@@ -342,15 +322,15 @@ mod tests {
         let (a, _) = two_ptrs();
         let pool = StagingPool::new();
         let cache = DeviceAllocCache::new();
-        cache.park_swapped(0, 2048, lease(&pool, 2048), t(1));
-        cache.put(0, 1024, a, t(10));
-        let (bytes, ptr, _) = cache.lru_resident(0).unwrap();
+        cache.park_swapped(2048, lease(&pool, 2048), t(1));
+        cache.put(1024, a, t(10));
+        let (bytes, ptr, _) = cache.lru_resident().unwrap();
         assert_eq!(
             (bytes, ptr),
             (1024, a),
             "swapped entry is not a swap victim"
         );
-        assert!(cache.lru_resident(0).is_none());
+        assert!(cache.lru_resident().is_none());
     }
 
     #[test]
@@ -358,12 +338,12 @@ mod tests {
         let (a, _) = two_ptrs();
         let pool = StagingPool::new();
         let cache = DeviceAllocCache::new();
-        cache.park_swapped(0, 1024, lease(&pool, 1024), t(5));
-        cache.put(0, 1024, a, t(10));
+        cache.park_swapped(1024, lease(&pool, 1024), t(5));
+        cache.put(1024, a, t(10));
         let drained = cache.drain();
         assert_eq!(drained.len(), 2);
-        assert!(matches!(drained[0].2, CachedAlloc::Resident(_)));
-        assert!(matches!(drained[1].2, CachedAlloc::Swapped(_)));
+        assert!(matches!(drained[0].1, CachedAlloc::Resident(_)));
+        assert!(matches!(drained[1].1, CachedAlloc::Swapped(_)));
         assert_eq!(cache.stats().swapped, 0);
     }
 }

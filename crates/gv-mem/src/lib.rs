@@ -8,9 +8,9 @@
 //! * [`StagingPool`] — pinned staging buffers on power-of-two size-class
 //!   free lists, leased per round and recycled across rounds and ranks.
 //!   Replaces per-rank ad-hoc `cudaHostAlloc`-style allocations.
-//! * [`DeviceAllocCache`] — freed device allocations parked by
-//!   `(device, bytes)` so the fault-tolerant GVM's evict/re-admit churn
-//!   reuses buffers instead of malloc/free cycles.
+//! * [`DeviceAllocCache`] — freed device allocations parked by size so
+//!   the fault-tolerant GVM's evict/re-admit churn reuses buffers instead
+//!   of malloc/free cycles.
 //! * [`PipelineConfig`] — the chunked transfer planner: payloads at or
 //!   above a threshold split into *k* spans issued as interleaved async
 //!   copies, so staging of span *i+1* overlaps the H2D copy of span *i*
@@ -24,7 +24,7 @@
 //!   flush's admitted members into runs of adjacent staging leases
 //!   ([`StagingLease::place_addr`](pool::StagingLease::place_addr)) so
 //!   one fused DMA submission sweeps each run and follower sub-ops elide
-//!   the per-op setup latency. Off by default ([`CoalesceConfig`]).
+//!   the per-op setup latency. Off by default ([`MemConfig::coalesce`]).
 //! * [`stage_span`] / [`record_chunk`] / [`record_plan`] — the single
 //!   span-wise data mover both protocol directions share, and the
 //!   analysis-record emitters that let `gv-analyze` prove chunk tiling
@@ -42,10 +42,8 @@ pub mod pool;
 pub mod stage;
 
 pub use adaptive::AdaptiveChooser;
-pub use coalesce::{CoalesceMember, CoalescePlan};
-pub use config::{CoalesceConfig, MemConfig, PipelineConfig, Span};
+pub use coalesce::{CoalesceMember, CoalescePlan, FUSE_THRESHOLD, MAX_GROUP};
+pub use config::{MemConfig, PipelineConfig, Span};
 pub use devcache::{CachedAlloc, DevCacheStats, DeviceAllocCache};
-pub use pool::{
-    LeaseBacking, PoolConfig, PoolStats, StagingDescriptor, StagingLease, StagingPool, MIN_CLASS,
-};
+pub use pool::{LeaseBacking, PoolStats, StagingDescriptor, StagingLease, StagingPool, MIN_CLASS};
 pub use stage::{record_chunk, record_plan, stage_span};

@@ -8,12 +8,9 @@
 //! models exactly the pointer swap a real pool performs — which keeps the
 //! pool golden-safe: timings are unchanged whether a lease hits or misses.
 //!
-//! The pool is **bounded** by [`PoolConfig`]: free-list bytes above the
-//! high-water cap are released back to the host at recycle time (so one
-//! demand burst no longer pins peak memory forever), free lists are split
-//! per NUMA node so a lease lands on the requester's socket, and an
-//! optional lease cap provides blocking backpressure via
-//! [`StagingPool::acquire_blocking`].
+//! The pool is **bounded**: free-list bytes above a 512 MiB cap are
+//! released back to the host at recycle time, so one demand burst does not
+//! pin peak memory forever.
 //!
 //! Every acquire/recycle is mirrored onto the tracer's analysis stream
 //! ([`AnalysisRecord::PoolAcquire`] / [`AnalysisRecord::PoolRecycle`]) so
@@ -22,54 +19,17 @@
 use std::collections::HashMap;
 
 use gv_cuda::HostBuffer;
-use gv_sim::{AnalysisRecord, Ctx, SimDuration, Tracer};
+use gv_sim::{AnalysisRecord, Tracer};
 use parking_lot::Mutex;
 
 /// Smallest size class handed out, in bytes.
 pub const MIN_CLASS: u64 = 4096;
 
-/// Bounding policy for a [`StagingPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Cap on total free-list bytes. When a recycle pushes the resident
-    /// free bytes above this, whole buffers are released (largest size
-    /// class first) until back under. `None` disables shrinking and the
-    /// pool holds its peak demand forever.
-    pub max_free_bytes: Option<u64>,
-    /// Cap on concurrently leased bytes. [`StagingPool::acquire_blocking`]
-    /// blocks (in simulated time) while granting the lease would exceed
-    /// it; plain [`StagingPool::acquire`] never blocks — the GVM serve
-    /// loop must not deadlock against its own recycles — and only counts
-    /// the overshoot in [`PoolStats::over_cap`]. `None` disables the cap.
-    pub lease_cap_bytes: Option<u64>,
-    /// Number of NUMA nodes the free lists are split across. A lease is
-    /// recycled to the node it was acquired for, so steady-state traffic
-    /// stays socket-local. `1` (the default) models a single-socket host.
-    pub numa_nodes: usize,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            // Generous default: big enough that no current sweep ever
-            // shrinks mid-run, small enough to bound a pathological burst.
-            max_free_bytes: Some(512 << 20),
-            lease_cap_bytes: None,
-            numa_nodes: 1,
-        }
-    }
-}
-
-impl PoolConfig {
-    /// An unbounded pool (pre-bounding behavior: never shrinks).
-    pub fn unbounded() -> Self {
-        PoolConfig {
-            max_free_bytes: None,
-            lease_cap_bytes: None,
-            numa_nodes: 1,
-        }
-    }
-}
+/// Cap on total free-list bytes. When a recycle pushes the resident free
+/// bytes above it, whole buffers are released (largest size class first)
+/// until back under. Big enough that no current sweep ever shrinks
+/// mid-run, small enough to bound a pathological burst.
+const MAX_FREE_BYTES: u64 = 512 << 20;
 
 /// Aggregate pool counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,13 +51,6 @@ pub struct PoolStats {
     pub released_buffers: u64,
     /// Bytes released by the high-water shrink path.
     pub released_bytes: u64,
-    /// `acquire_blocking` calls that had to wait for the lease cap.
-    pub backpressure_waits: u64,
-    /// Total simulated nanoseconds spent waiting for the lease cap.
-    pub backpressure_wait_ns: u64,
-    /// Non-blocking acquires granted past the lease cap (the GVM's own
-    /// acquires may overshoot rather than deadlock the serve loop).
-    pub over_cap: u64,
 }
 
 impl PoolStats {
@@ -121,16 +74,14 @@ struct PooledBuf {
 }
 
 struct Inner {
-    /// Free lists keyed by (size class, functional?, NUMA node).
-    /// Functional buffers carry real storage and must never be handed to a
-    /// timing-only lease (and vice versa), so the flag is part of the key;
-    /// the NUMA index keeps recycled buffers socket-local.
-    free: HashMap<(u64, bool, usize), Vec<PooledBuf>>,
+    /// Free lists keyed by (size class, functional?). Functional buffers
+    /// carry real storage and must never be handed to a timing-only lease
+    /// (and vice versa), so the flag is part of the key.
+    free: HashMap<(u64, bool), Vec<PooledBuf>>,
     /// Current generation per buffer id. Starts at 1 on first allocation
     /// and bumps on every recycle/retire, so a descriptor minted under an
     /// earlier lease of the same buffer is recognizably stale.
     generations: HashMap<u64, u64>,
-    config: PoolConfig,
     stats: PoolStats,
     /// Next simulated host address handed to a freshly allocated buffer.
     /// Fresh allocations are laid out monotonically, so consecutive
@@ -173,7 +124,6 @@ pub struct StagingLease {
     id: u64,
     class: u64,
     functional: bool,
-    numa: usize,
     generation: u64,
     place: u64,
 }
@@ -194,11 +144,6 @@ impl StagingLease {
     /// Size-class capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.class
-    }
-
-    /// NUMA node the lease was acquired for (0 on single-socket configs).
-    pub fn numa(&self) -> usize {
-        self.numa
     }
 
     /// Simulated host address of the pinned region. The pool lays fresh
@@ -255,50 +200,28 @@ impl Default for StagingPool {
 }
 
 impl StagingPool {
-    /// An empty pool with the default bounding policy.
+    /// An empty pool.
     pub fn new() -> Self {
-        Self::with_config(PoolConfig::default())
-    }
-
-    /// An empty pool with an explicit bounding policy.
-    pub fn with_config(config: PoolConfig) -> Self {
         StagingPool {
             inner: Mutex::new(Inner {
                 free: HashMap::new(),
                 generations: HashMap::new(),
-                config,
                 stats: PoolStats::default(),
                 next_place: 0,
             }),
         }
     }
 
-    /// Lease a pinned buffer of at least `bytes` bytes, preferring NUMA
-    /// node 0. See [`acquire_on`](Self::acquire_on).
+    /// Lease a pinned buffer of at least `bytes` bytes. `functional`
+    /// leases carry real (initially zeroed) storage; timing-only leases are
+    /// opaque. Records a `PoolAcquire` on `tracer`'s analysis stream.
     pub fn acquire(&self, tracer: &Tracer, bytes: u64, functional: bool) -> StagingLease {
-        self.acquire_on(tracer, bytes, functional, 0)
+        self.acquire_at(tracer, bytes, functional, None)
     }
 
-    /// Lease a pinned buffer of at least `bytes` bytes from `numa`'s free
-    /// lists. `functional` leases carry real (initially zeroed) storage;
-    /// timing-only leases are opaque. Records a `PoolAcquire` on
-    /// `tracer`'s analysis stream. Never blocks: a lease cap overshoot is
-    /// only counted ([`PoolStats::over_cap`]), since the GVM serve loop
-    /// both acquires and recycles and must not wait on itself.
-    pub fn acquire_on(
-        &self,
-        tracer: &Tracer,
-        bytes: u64,
-        functional: bool,
-        numa: usize,
-    ) -> StagingLease {
-        let mut inner = self.inner.lock();
-        self.acquire_locked(&mut inner, tracer, bytes, functional, numa, None)
-    }
-
-    /// Like [`acquire_on`](Self::acquire_on), but with a placement hint:
-    /// when `prefer_place` is `Some(addr)`, the free list is scanned for
-    /// the recycled buffer whose pinned region starts at `addr` (the one
+    /// Like [`acquire`](Self::acquire), but with a placement hint: when
+    /// `prefer_place` is `Some(addr)`, the free list is scanned for the
+    /// recycled buffer whose pinned region starts at `addr` (the one
     /// adjacent to a lease the caller already holds) before falling back
     /// to LIFO. A miss on the hint is silent — the lease is still granted,
     /// just not guaranteed adjacent — so hinted acquires are always safe.
@@ -307,84 +230,21 @@ impl StagingPool {
         tracer: &Tracer,
         bytes: u64,
         functional: bool,
-        numa: usize,
         prefer_place: Option<u64>,
     ) -> StagingLease {
-        let mut inner = self.inner.lock();
-        self.acquire_locked(&mut inner, tracer, bytes, functional, numa, prefer_place)
-    }
-
-    /// Like [`acquire_on`](Self::acquire_on), but honors the configured
-    /// lease cap by blocking in **simulated** time (exponential-backoff
-    /// polling on `ctx`) until the lease fits. Intended for client-side
-    /// callers that are not on the pool's recycle path.
-    pub fn acquire_blocking(
-        &self,
-        ctx: &mut Ctx,
-        tracer: &Tracer,
-        bytes: u64,
-        functional: bool,
-        numa: usize,
-    ) -> StagingLease {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let class = size_class(bytes);
-        let mut backoff = SimDuration::from_micros(50);
-        let max_backoff = SimDuration::from_micros(1000);
-        let mut waited = false;
-        loop {
-            {
-                let mut inner = self.inner.lock();
-                let fits = match inner.config.lease_cap_bytes {
-                    // A lease bigger than the whole cap must still be
-                    // grantable once nothing else is out, or the caller
-                    // would spin forever.
-                    Some(cap) => {
-                        inner.stats.in_use_bytes + class <= cap || inner.stats.in_use_bytes == 0
-                    }
-                    None => true,
-                };
-                if fits {
-                    return self.acquire_locked(&mut inner, tracer, bytes, functional, numa, None);
+        let recycled = inner.free.get_mut(&(class, functional)).and_then(|list| {
+            // Placement hint: prefer the free buffer whose pinned
+            // region starts exactly at `prefer_place`, else LIFO.
+            if let Some(addr) = prefer_place {
+                if let Some(pos) = list.iter().position(|b| b.place == addr) {
+                    return Some(list.swap_remove(pos));
                 }
-                if !waited {
-                    waited = true;
-                    inner.stats.backpressure_waits += 1;
-                }
-                inner.stats.backpressure_wait_ns += backoff.as_nanos();
             }
-            ctx.hold(backoff);
-            backoff = (backoff * 2).min(max_backoff);
-        }
-    }
-
-    fn acquire_locked(
-        &self,
-        inner: &mut Inner,
-        tracer: &Tracer,
-        bytes: u64,
-        functional: bool,
-        numa: usize,
-        prefer_place: Option<u64>,
-    ) -> StagingLease {
-        let class = size_class(bytes);
-        let numa = numa % inner.config.numa_nodes.max(1);
-        if let Some(cap) = inner.config.lease_cap_bytes {
-            if inner.stats.in_use_bytes + class > cap && inner.stats.in_use_bytes > 0 {
-                inner.stats.over_cap += 1;
-            }
-        }
-        let recycled = inner
-            .free
-            .get_mut(&(class, functional, numa))
-            .and_then(|list| {
-                // Placement hint: prefer the free buffer whose pinned
-                // region starts exactly at `prefer_place`, else LIFO.
-                if let Some(addr) = prefer_place {
-                    if let Some(pos) = list.iter().position(|b| b.place == addr) {
-                        return Some(list.swap_remove(pos));
-                    }
-                }
-                list.pop()
-            });
+            list.pop()
+        });
         let hit = recycled.is_some();
         let pooled = recycled.unwrap_or_else(|| {
             // Tracer-global id: pools of co-resident GVMs share one trace,
@@ -420,7 +280,6 @@ impl StagingPool {
             id: pooled.id,
             class,
             functional,
-            numa,
             generation,
             place: pooled.place,
         }
@@ -430,8 +289,8 @@ impl StagingPool {
     /// caller must not recycle while an async copy into or out of the
     /// buffer is still in flight (gv-analyze's staging checker enforces
     /// this over traces). When the recycle pushes resident free bytes over
-    /// [`PoolConfig::max_free_bytes`], whole buffers are released —
-    /// largest size class first — until back under the cap.
+    /// the pool's 512 MiB cap, whole buffers are released — largest size
+    /// class first — until back under it.
     pub fn recycle(&self, tracer: &Tracer, lease: StagingLease) {
         let mut inner = self.inner.lock();
         inner.stats.in_use_bytes -= lease.class;
@@ -444,16 +303,14 @@ impl StagingPool {
         });
         inner
             .free
-            .entry((lease.class, lease.functional, lease.numa))
+            .entry((lease.class, lease.functional))
             .or_default()
             .push(PooledBuf {
                 id: lease.id,
                 buf: lease.buf,
                 place: lease.place,
             });
-        if let Some(cap) = inner.config.max_free_bytes {
-            Self::shrink_to(&mut inner, cap);
-        }
+        Self::shrink_to(&mut inner, MAX_FREE_BYTES);
     }
 
     /// Retire a lease without returning its buffer to the free lists: the
@@ -488,8 +345,11 @@ impl StagingPool {
     }
 
     /// Drop free buffers (largest class first) until resident free bytes
-    /// are at most `cap`. Zero simulated time: releasing pinned memory is
-    /// a host-side operation the model does not charge.
+    /// are at most `cap`. Within one class the functional list goes before
+    /// the timing-only one: the victim is the largest full key, so the
+    /// choice never depends on the map's iteration order. Zero simulated
+    /// time: releasing pinned memory is a host-side operation the model
+    /// does not charge.
     fn shrink_to(inner: &mut Inner, cap: u64) {
         while inner.stats.allocated_bytes - inner.stats.in_use_bytes > cap {
             let victim_key = inner
@@ -497,7 +357,7 @@ impl StagingPool {
                 .iter()
                 .filter(|(_, list)| !list.is_empty())
                 .map(|(key, _)| *key)
-                .max_by_key(|&(class, _, _)| class);
+                .max();
             let Some(key) = victim_key else { break };
             if let Some(list) = inner.free.get_mut(&key) {
                 if list.pop().is_some() {
@@ -617,30 +477,28 @@ mod tests {
     #[test]
     fn burst_shrinks_back_under_high_water_cap() {
         // Regression: the pool used to hold its peak demand forever. A
-        // burst of 8 × 1 MiB leases against a 2 MiB free-byte cap must
-        // release buffers on recycle until resident free bytes fit.
+        // burst of 10 × 64 MiB timing-only leases (opaque, so nothing is
+        // really allocated) must release buffers on recycle until resident
+        // free bytes fit the 512 MiB cap.
         let t = tracer();
-        let pool = StagingPool::with_config(PoolConfig {
-            max_free_bytes: Some(2 << 20),
-            ..PoolConfig::default()
-        });
-        let leases: Vec<_> = (0..8).map(|_| pool.acquire(&t, 1 << 20, false)).collect();
-        assert_eq!(pool.stats().allocated_bytes, 8 << 20);
+        let pool = StagingPool::new();
+        let class = 64 << 20;
+        let leases: Vec<_> = (0..10).map(|_| pool.acquire(&t, class, false)).collect();
+        assert_eq!(pool.stats().allocated_bytes, 10 * class);
         for l in leases {
             pool.recycle(&t, l);
         }
         let s = pool.stats();
         assert_eq!(s.in_use_bytes, 0);
         assert_eq!(
-            s.allocated_bytes,
-            2 << 20,
+            s.allocated_bytes, MAX_FREE_BYTES,
             "resident bytes must drop to the cap after the burst"
         );
-        assert_eq!(s.released_buffers, 6);
-        assert_eq!(s.released_bytes, 6 << 20);
-        assert_eq!(s.high_water_bytes, 8 << 20, "peak demand still recorded");
+        assert_eq!(s.released_buffers, 2);
+        assert_eq!(s.released_bytes, 2 * class);
+        assert_eq!(s.high_water_bytes, 10 * class, "peak demand still recorded");
         // The survivors still recycle as hits.
-        let a = pool.acquire(&t, 1 << 20, false);
+        let a = pool.acquire(&t, class, false);
         assert_eq!(pool.stats().hits, 1);
         pool.recycle(&t, a);
     }
@@ -648,142 +506,44 @@ mod tests {
     #[test]
     fn shrink_releases_largest_classes_first() {
         let t = tracer();
-        let pool = StagingPool::with_config(PoolConfig {
-            max_free_bytes: Some(MIN_CLASS),
-            ..PoolConfig::default()
-        });
+        let pool = StagingPool::new();
         let small = pool.acquire(&t, MIN_CLASS, false);
-        let big = pool.acquire(&t, 1 << 20, false);
+        let big = pool.acquire(&t, MAX_FREE_BYTES, false);
         pool.recycle(&t, small);
         // Still under cap: exactly MIN_CLASS free.
         assert_eq!(pool.stats().released_buffers, 0);
         pool.recycle(&t, big);
-        // Over cap: the 1 MiB class goes first, the small buffer survives.
+        // Over cap: the big class goes first, the small buffer survives.
         let s = pool.stats();
-        assert_eq!(s.released_bytes, 1 << 20);
+        assert_eq!(s.released_bytes, MAX_FREE_BYTES);
         assert_eq!(s.allocated_bytes, MIN_CLASS);
         assert_eq!(pool.acquire(&t, MIN_CLASS, false).capacity(), MIN_CLASS);
         assert_eq!(pool.stats().hits, 1, "small survivor recycles as a hit");
     }
 
     #[test]
-    fn unbounded_config_never_shrinks() {
+    fn shrink_tie_between_functional_and_timing_lists_is_deterministic() {
+        // One free buffer of the same class on each of the functional and
+        // timing-only lists; a shrink that must drop exactly one picks the
+        // functional one every time, whatever the free-list map's
+        // per-instance iteration order.
         let t = tracer();
-        let pool = StagingPool::with_config(PoolConfig::unbounded());
-        let leases: Vec<_> = (0..4).map(|_| pool.acquire(&t, 1 << 20, false)).collect();
-        for l in leases {
-            pool.recycle(&t, l);
+        for _ in 0..16 {
+            let pool = StagingPool::new();
+            let functional = pool.acquire(&t, MIN_CLASS, true);
+            let timing = pool.acquire(&t, MIN_CLASS, false);
+            let timing_id = timing.id();
+            pool.recycle(&t, functional);
+            pool.recycle(&t, timing);
+            StagingPool::shrink_to(&mut pool.inner.lock(), MIN_CLASS);
+            let s = pool.stats();
+            assert_eq!((s.released_buffers, s.allocated_bytes), (1, MIN_CLASS));
+            let survivor = pool.acquire(&t, MIN_CLASS, false);
+            assert_eq!(survivor.id(), timing_id, "timing-only buffer survives");
+            assert_eq!(pool.stats().hits, 1);
+            pool.acquire(&t, MIN_CLASS, true);
+            assert_eq!(pool.stats().misses, 3, "functional buffer was released");
         }
-        let s = pool.stats();
-        assert_eq!(s.allocated_bytes, 4 << 20);
-        assert_eq!(s.released_buffers, 0);
-    }
-
-    #[test]
-    fn numa_nodes_keep_free_lists_separate() {
-        let t = tracer();
-        let pool = StagingPool::with_config(PoolConfig {
-            numa_nodes: 2,
-            ..PoolConfig::default()
-        });
-        let a = pool.acquire_on(&t, MIN_CLASS, false, 0);
-        assert_eq!(a.numa(), 0);
-        pool.recycle(&t, a);
-        // Other socket: must miss even though the class matches.
-        let b = pool.acquire_on(&t, MIN_CLASS, false, 1);
-        assert_eq!(b.numa(), 1);
-        assert_eq!(pool.stats().misses, 2);
-        // Same socket: hit.
-        let c = pool.acquire_on(&t, MIN_CLASS, false, 0);
-        assert_eq!(pool.stats().hits, 1);
-        // Out-of-range indices wrap onto configured nodes.
-        let d = pool.acquire_on(&t, MIN_CLASS, false, 7);
-        assert_eq!(d.numa(), 1);
-        pool.recycle(&t, b);
-        pool.recycle(&t, c);
-        pool.recycle(&t, d);
-    }
-
-    #[test]
-    fn non_blocking_acquire_counts_cap_overshoot() {
-        let t = tracer();
-        let pool = StagingPool::with_config(PoolConfig {
-            lease_cap_bytes: Some(MIN_CLASS),
-            ..PoolConfig::default()
-        });
-        let a = pool.acquire(&t, MIN_CLASS, false);
-        let b = pool.acquire(&t, MIN_CLASS, false); // over cap, still granted
-        let s = pool.stats();
-        assert_eq!(s.over_cap, 1);
-        assert_eq!(s.in_use_bytes, 2 * MIN_CLASS);
-        pool.recycle(&t, a);
-        pool.recycle(&t, b);
-    }
-
-    #[test]
-    fn blocking_acquire_waits_for_the_lease_cap() {
-        use gv_sim::Simulation;
-        use std::sync::Arc;
-
-        let t = tracer();
-        let pool = Arc::new(StagingPool::with_config(PoolConfig {
-            lease_cap_bytes: Some(MIN_CLASS),
-            ..PoolConfig::default()
-        }));
-        let first = pool.acquire(&t, MIN_CLASS, false);
-        let mut sim = Simulation::new();
-        {
-            let pool = Arc::clone(&pool);
-            let t = t.clone();
-            sim.spawn("holder", move |ctx| {
-                // Release the only cap slot 1 ms into simulated time.
-                ctx.hold(SimDuration::from_micros(1000));
-                pool.recycle(&t, first);
-            });
-        }
-        {
-            let pool = Arc::clone(&pool);
-            let t = t.clone();
-            sim.spawn("waiter", move |ctx| {
-                let lease = pool.acquire_blocking(ctx, &t, MIN_CLASS, false, 0);
-                assert!(
-                    ctx.now().as_nanos() >= 1_000_000,
-                    "lease granted before the cap slot freed"
-                );
-                pool.recycle(&t, lease);
-            });
-        }
-        sim.run().unwrap();
-        let s = pool.stats();
-        assert_eq!(s.backpressure_waits, 1);
-        assert!(s.backpressure_wait_ns >= 1_000_000 - 50_000);
-        assert_eq!(s.in_use_bytes, 0);
-    }
-
-    #[test]
-    fn blocking_acquire_grants_oversized_lease_when_pool_idle() {
-        use gv_sim::Simulation;
-        use std::sync::Arc;
-
-        // A lease larger than the whole cap must still be granted once
-        // nothing else is leased, or the caller would spin forever.
-        let t = tracer();
-        let pool = Arc::new(StagingPool::with_config(PoolConfig {
-            lease_cap_bytes: Some(MIN_CLASS),
-            ..PoolConfig::default()
-        }));
-        let mut sim = Simulation::new();
-        {
-            let pool = Arc::clone(&pool);
-            let t = t.clone();
-            sim.spawn("p", move |ctx| {
-                let lease = pool.acquire_blocking(ctx, &t, 1 << 20, false, 0);
-                assert_eq!(lease.capacity(), 1 << 20);
-                pool.recycle(&t, lease);
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(pool.stats().backpressure_waits, 0);
     }
 
     #[test]
@@ -907,11 +667,11 @@ mod tests {
         // then ask for `a`'s address: the hint must beat LIFO.
         pool.recycle(&t, a);
         pool.recycle(&t, b);
-        let hinted = pool.acquire_at(&t, MIN_CLASS, false, 0, Some(place_a));
+        let hinted = pool.acquire_at(&t, MIN_CLASS, false, Some(place_a));
         assert_eq!(hinted.place_addr(), place_a);
         // A hint naming an address not on the free list falls back to
         // LIFO and still grants a lease.
-        let fallback = pool.acquire_at(&t, MIN_CLASS, false, 0, Some(999_999_999));
+        let fallback = pool.acquire_at(&t, MIN_CLASS, false, Some(999_999_999));
         assert_eq!(fallback.place_addr(), place_b);
         assert_eq!(pool.stats().misses, 2, "both hinted acquires were hits");
         pool.recycle(&t, hinted);

@@ -23,10 +23,21 @@ use gv_mem::{Span, StagingDescriptor};
 use gv_sim::{Ctx, RecvTimeout, SimDuration};
 
 use crate::gvm::GvmHandle;
-use crate::protocol::{NakReason, Request, RequestKind, Response, ResponseKind, TaskRun};
+use crate::protocol::{
+    NakReason, Request, RequestKind, Response, ResponseKind, TaskRun, STP_POLL_INITIAL,
+    STP_POLL_MAX,
+};
 
-/// Fault-handling policy for one client.
-#[derive(Debug, Clone)]
+/// Backoff before the first retry of a timed-out request; doubles per
+/// retry up to [`RETRY_BACKOFF_MAX`].
+const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(100);
+
+/// Retry backoff cap.
+const RETRY_BACKOFF_MAX: SimDuration = SimDuration::from_millis(8);
+
+/// Fault-handling policy for one client. The default waits forever and
+/// never retries (the legacy fault-free behavior).
+#[derive(Debug, Clone, Default)]
 pub struct ClientPolicy {
     /// How long to wait for each response before retrying. `None` waits
     /// forever (the legacy fault-free behavior).
@@ -34,21 +45,6 @@ pub struct ClientPolicy {
     /// How many times to re-send a request after a timeout before giving
     /// up with [`TaskError::TimedOut`].
     pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub retry_backoff: SimDuration,
-    /// Backoff cap (doubles up to here).
-    pub retry_backoff_max: SimDuration,
-}
-
-impl Default for ClientPolicy {
-    fn default() -> Self {
-        ClientPolicy {
-            response_timeout: None,
-            max_retries: 0,
-            retry_backoff: SimDuration::from_micros(100),
-            retry_backoff_max: SimDuration::from_millis(8),
-        }
-    }
 }
 
 impl ClientPolicy {
@@ -58,7 +54,6 @@ impl ClientPolicy {
         ClientPolicy {
             response_timeout: Some(timeout),
             max_retries,
-            ..Self::default()
         }
     }
 }
@@ -223,7 +218,7 @@ impl VgpuClient {
                 None
             },
         };
-        let mut backoff = self.policy.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut sends = 0u32;
         loop {
             self.req
@@ -268,7 +263,7 @@ impl VgpuClient {
                 return Err(TaskError::TimedOut { stage: kind });
             }
             ctx.hold(backoff);
-            backoff = next_backoff(backoff, self.policy.retry_backoff_max);
+            backoff = next_backoff(backoff, RETRY_BACKOFF_MAX);
         }
     }
 
@@ -363,13 +358,13 @@ impl VgpuClient {
 
     /// Fault-aware `STP()` poll loop.
     pub fn try_stp_until_done(&self, ctx: &mut Ctx) -> Result<(), TaskError> {
-        let mut backoff = self.handle.config.poll_initial;
+        let mut backoff = STP_POLL_INITIAL;
         loop {
             match self.try_call(ctx, RequestKind::Stp)? {
                 ResponseKind::Ack => return Ok(()),
                 _ => {
                     ctx.hold(backoff);
-                    backoff = next_backoff(backoff, self.handle.config.poll_max);
+                    backoff = next_backoff(backoff, STP_POLL_MAX);
                 }
             }
         }

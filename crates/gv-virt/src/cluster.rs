@@ -746,13 +746,6 @@ pub struct ClusterConfig {
     /// Arrival skew: session at arrival position `i` starts its protocol
     /// sequence `i * stagger` after connecting.
     pub stagger: SimDuration,
-    /// VRAM oversubscription factor for planning, `>= 1`. The planner
-    /// admits against `factor ×` each device's physical memory (the
-    /// *virtual* capacity, which is also what the `ClusterDevice` record
-    /// declares to the co-residency checker); a factor above 1 turns on
-    /// demand-swap in every GVM so the physically-overcommitted waves
-    /// stay serviceable.
-    pub oversubscribe: u32,
 }
 
 impl ClusterConfig {
@@ -766,14 +759,7 @@ impl ClusterConfig {
             mem: MemConfig::default(),
             rounds: 1,
             stagger: SimDuration::ZERO,
-            oversubscribe: 1,
         }
-    }
-
-    /// Set the VRAM oversubscription factor (clamped to at least 1).
-    pub fn with_oversubscribe(mut self, factor: u32) -> Self {
-        self.oversubscribe = factor.max(1);
-        self
     }
 
     /// Replace the GVM stream-dispatch policy.
@@ -914,14 +900,9 @@ impl Cluster {
         config: ClusterConfig,
         requests: Vec<VgpuRequest>,
     ) -> Result<ClusterHandle, PlanError> {
-        let oversub = u64::from(config.oversubscribe.max(1));
         let caps: Vec<DeviceCap> = cudas
             .iter()
-            .map(|c| {
-                let mut cap = DeviceCap::from_config(c.device().config());
-                cap.mem_bytes = cap.mem_bytes.saturating_mul(oversub);
-                cap
-            })
+            .map(|c| DeviceCap::from_config(c.device().config()))
             .collect();
         let plan = plan(config.policy, &requests, &caps)?;
 
@@ -961,9 +942,6 @@ impl Cluster {
             if quotas.iter().any(|q| !q.is_unlimited()) {
                 gcfg = gcfg.with_quotas(quotas);
             }
-            if config.oversubscribe > 1 {
-                gcfg = gcfg.with_swap();
-            }
             gcfg.name = format!("{}-d{device}w{wave}", config.name);
             let handle = Gvm::prepare(node, gcfg, tasks);
             gvms.push(WaveGvm {
@@ -975,7 +953,7 @@ impl Cluster {
 
         // Boot wave 0 now; later waves boot from the supervisor.
         for g in gvms.iter().filter(|g| g.wave == 0) {
-            Gvm::spawn_prepared(sim, &g.handle, std::slice::from_ref(&cudas[g.device]), node);
+            Gvm::spawn_prepared(sim, &g.handle, &cudas[g.device], node);
         }
 
         // One client process per session, spawned in arrival order and
@@ -1048,12 +1026,7 @@ impl Cluster {
                     g.handle.done.wait(ctx);
                 }
                 for g in sup_gvms.iter().filter(|g| g.wave == w) {
-                    Gvm::spawn_prepared_from(
-                        ctx,
-                        &g.handle,
-                        std::slice::from_ref(&sup_cudas[g.device]),
-                        &sup_node,
-                    );
+                    Gvm::spawn_prepared_from(ctx, &g.handle, &sup_cudas[g.device], &sup_node);
                 }
             }
             for g in sup_gvms.iter().filter(|g| g.wave + 1 == waves) {

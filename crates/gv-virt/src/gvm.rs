@@ -17,7 +17,7 @@
 //! release re-arm the barrier through the same policy code path that
 //! dispatches it.
 //!
-//! With [`GvmConfig::fault_tolerance`] enabled the serve loop degrades
+//! With [`GvmConfig::fault_tolerance`] on the serve loop degrades
 //! gracefully instead of wedging: requests are received with a deadline, a
 //! rank that stops responding (crashed client, lost message beyond the
 //! client's retry budget) is *evicted* — its device memory, shared-memory
@@ -44,27 +44,14 @@ use crate::protocol::{Endpoints, NakReason, Request, RequestKind, Response, Resp
 use crate::quota::MemQuota;
 use crate::sched::{self, Dispatch, SchedPolicy, Scheduler};
 
-/// Recovery knobs for a fault-tolerant GVM (see
-/// [`GvmConfig::fault_tolerance`]).
-#[derive(Debug, Clone)]
-pub struct FtConfig {
-    /// How long the `STR` barrier waits for stragglers once at least one
-    /// rank has arrived, before evicting the missing ranks and flushing at
-    /// reduced width.
-    pub barrier_timeout: SimDuration,
-    /// How long the serve loop waits for *any* request before declaring
-    /// the remaining active ranks dead and evicting them.
-    pub idle_timeout: SimDuration,
-}
+/// Fault tolerance: how long the `STR` barrier waits for stragglers once
+/// at least one rank has arrived, before evicting the missing ranks and
+/// flushing at reduced width.
+const BARRIER_TIMEOUT: SimDuration = SimDuration::from_millis(20);
 
-impl Default for FtConfig {
-    fn default() -> Self {
-        FtConfig {
-            barrier_timeout: SimDuration::from_millis(20),
-            idle_timeout: SimDuration::from_millis(100),
-        }
-    }
-}
+/// Fault tolerance: how long the serve loop waits for *any* request before
+/// declaring the remaining active ranks dead and evicting them.
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 
 /// GVM configuration.
 #[derive(Debug, Clone)]
@@ -73,22 +60,14 @@ pub struct GvmConfig {
     pub name: String,
     /// Number of SPMD processes served (the `STR` barrier width).
     pub ntask: usize,
-    /// Client `STP` poll backoff: initial interval.
-    pub poll_initial: SimDuration,
-    /// Client `STP` poll backoff: cap.
-    pub poll_max: SimDuration,
     /// Ablation: drain each rank's stream before flushing the next (no
     /// cross-process overlap — what a naive time-sharing manager would do).
     pub serial_flush: bool,
-    /// Depth bound for the shared request queue (`None` = unbounded).
-    /// A bounded queue exerts backpressure: senders block in simulated
-    /// time until the GVM drains.
-    pub req_queue_capacity: Option<usize>,
-    /// `Some` enables graceful degradation: timed receives, rank eviction
-    /// with resource reclamation, reduced-width barrier re-arming, and
-    /// device memory allocated lazily at first `SND` (overcommit) instead
-    /// of at boot. `None` keeps the seed's fault-free behavior exactly.
-    pub fault_tolerance: Option<FtConfig>,
+    /// Graceful degradation: timed receives, rank eviction with resource
+    /// reclamation, reduced-width barrier re-arming, and device memory
+    /// allocated lazily at first `SND` (overcommit) instead of at boot.
+    /// `false` keeps the seed's fault-free behavior exactly.
+    pub fault_tolerance: bool,
     /// Stream-dispatch policy (default: the paper's joint flush).
     pub scheduler: SchedPolicy,
     /// Buffer-lifecycle configuration (staging pool is always on; chunked
@@ -118,11 +97,8 @@ impl GvmConfig {
         GvmConfig {
             name: "gvm".to_string(),
             ntask,
-            poll_initial: SimDuration::from_micros(50),
-            poll_max: SimDuration::from_millis(4),
             serial_flush: false,
-            req_queue_capacity: None,
-            fault_tolerance: None,
+            fault_tolerance: false,
             scheduler: SchedPolicy::JointFlush,
             mem: MemConfig::default(),
             quotas: None,
@@ -149,10 +125,10 @@ impl GvmConfig {
         }
     }
 
-    /// A fault-tolerant instance with default recovery timeouts.
+    /// A fault-tolerant instance.
     pub fn fault_tolerant(ntask: usize) -> Self {
         GvmConfig {
-            fault_tolerance: Some(FtConfig::default()),
+            fault_tolerance: true,
             ..Self::new(ntask)
         }
     }
@@ -247,12 +223,6 @@ pub struct GvmStats {
     pub pool_released_buffers: u64,
     /// Pinned bytes released by the staging pool's high-water shrink.
     pub pool_released_bytes: u64,
-    /// Staging-pool lease-cap overshoots by the GVM's non-blocking
-    /// acquires (the serve loop never blocks against its own recycles).
-    pub pool_over_cap: u64,
-    /// Acquires that blocked on the lease cap (client-side users of the
-    /// pool; always 0 for the GVM's own acquires).
-    pub pool_backpressure_waits: u64,
     /// Admissions refused because the session's device-memory demand
     /// exceeded its quota (`OverQuota` NAKs; a subset of `naks`).
     pub quota_naks: u64,
@@ -318,8 +288,6 @@ impl GvmStats {
         self.steady_prefetches += other.steady_prefetches;
         self.pool_released_buffers += other.pool_released_buffers;
         self.pool_released_bytes += other.pool_released_bytes;
-        self.pool_over_cap += other.pool_over_cap;
-        self.pool_backpressure_waits += other.pool_backpressure_waits;
         self.quota_naks += other.quota_naks;
         self.swap_outs += other.swap_outs;
         self.swap_ins += other.swap_ins;
@@ -505,8 +473,6 @@ impl Dma<'_> {
 struct RankResources {
     shm: SharedMem,
     resp: MessageQueue<Response>,
-    /// Index of this rank's device/context (multi-GPU nodes round-robin).
-    dev_idx: usize,
     stream: gv_gpu::StreamId,
     gpu: Option<RankGpuAlloc>,
     /// Pooled pinned staging lease for the current round's input payload
@@ -529,8 +495,6 @@ struct RankResources {
     /// `STP` polls this instead of the raw stream tail, which may already
     /// include next round's pre-issued H2D.
     round_tail: Option<gv_gpu::CommandHandle>,
-    /// NUMA node of this rank's staging leases (from its core pinning).
-    numa: usize,
     /// Zero-copy transport: the session-lifetime pinned lease whose bytes
     /// *are* the rank's shm segment (leased at boot, recycled at `RLS`).
     /// `None` on the staged-copy path.
@@ -574,7 +538,7 @@ fn xfer_lease(rank: &RankResources, zc: bool, h2d: bool) -> &StagingLease {
 pub struct GvmHandle {
     /// Queue/segment naming.
     pub endpoints: Endpoints,
-    /// Configuration (barrier width, poll backoff).
+    /// Configuration (barrier width, dispatch policy, memory path).
     pub config: Arc<GvmConfig>,
     /// Shared-memory namespace for this node.
     pub shm: ShmRegistry,
@@ -603,9 +567,11 @@ impl GvmHandle {
 pub struct Gvm;
 
 impl Gvm {
-    /// Spawn a GVM process into `sim` serving `tasks[r]` for rank `r`.
-    /// The GVM boots (context creation, resource setup) before opening
-    /// `ready`; clients must wait on it.
+    /// Spawn a GVM process into `sim` serving `tasks[r]` for rank `r` on
+    /// the one device `cuda` (paper Fig. 8: one manager per node GPU; a
+    /// multi-GPU node runs one GVM per device behind
+    /// [`Cluster`](crate::Cluster)). The GVM boots (context creation,
+    /// resource setup) before opening `ready`; clients must wait on it.
     pub fn install(
         sim: &mut Simulation,
         node: &Node,
@@ -613,22 +579,8 @@ impl Gvm {
         config: GvmConfig,
         tasks: Vec<GpuTask>,
     ) -> GvmHandle {
-        Self::install_multi(sim, node, std::slice::from_ref(cuda), config, tasks)
-    }
-
-    /// Multi-GPU variant: the GVM owns one context per device and assigns
-    /// rank `r` to device `r % devices.len()` (the paper's architecture has
-    /// one GPU per node; this extension shows the layer generalizes to
-    /// fatter nodes without touching the client protocol).
-    pub fn install_multi(
-        sim: &mut Simulation,
-        node: &Node,
-        cudas: &[CudaDevice],
-        config: GvmConfig,
-        tasks: Vec<GpuTask>,
-    ) -> GvmHandle {
         let handle = Self::prepare(node, config, tasks);
-        Self::spawn_prepared(sim, &handle, cudas, node);
+        Self::spawn_prepared(sim, &handle, cuda, node);
         handle
     }
 
@@ -659,33 +611,28 @@ impl Gvm {
         }
     }
 
-    /// Boot the manager process for a [prepared](Gvm::prepare) handle from
-    /// the simulation's top level.
+    /// Boot the manager process for a [prepared](Gvm::prepare) handle on
+    /// device `cuda` from the simulation's top level.
     pub fn spawn_prepared(
         sim: &mut Simulation,
         handle: &GvmHandle,
-        cudas: &[CudaDevice],
+        cuda: &CudaDevice,
         node: &Node,
     ) {
-        assert!(!cudas.is_empty(), "at least one device required");
-        let h = handle.clone();
-        let cudas = cudas.to_vec();
-        let node = node.clone();
+        let (h, cuda, node) = (handle.clone(), cuda.clone(), node.clone());
         sim.spawn(&h.endpoints.gvm.clone(), move |ctx| {
-            GvmCore::boot(ctx, h, cudas, &node).serve(ctx);
+            GvmCore::boot(ctx, h, cuda, &node).serve(ctx);
         });
     }
 
-    /// Boot the manager process for a [prepared](Gvm::prepare) handle from
-    /// within a running process (e.g. a cluster wave controller releasing
-    /// the next admission wave once the previous one drains).
-    pub fn spawn_prepared_from(ctx: &Ctx, handle: &GvmHandle, cudas: &[CudaDevice], node: &Node) {
-        assert!(!cudas.is_empty(), "at least one device required");
-        let h = handle.clone();
-        let cudas = cudas.to_vec();
-        let node = node.clone();
+    /// Boot the manager process for a [prepared](Gvm::prepare) handle on
+    /// device `cuda` from within a running process (e.g. a cluster wave
+    /// controller releasing the next admission wave once the previous one
+    /// drains).
+    pub fn spawn_prepared_from(ctx: &Ctx, handle: &GvmHandle, cuda: &CudaDevice, node: &Node) {
+        let (h, cuda, node) = (handle.clone(), cuda.clone(), node.clone());
         ctx.spawn(&h.endpoints.gvm.clone(), move |ctx| {
-            GvmCore::boot(ctx, h, cudas, &node).serve(ctx);
+            GvmCore::boot(ctx, h, cuda, &node).serve(ctx);
         });
     }
 }
@@ -696,9 +643,9 @@ impl Gvm {
 struct GvmCore {
     h: GvmHandle,
     cfg: Arc<GvmConfig>,
-    cudas: Vec<CudaDevice>,
-    /// One charged context per device.
-    contexts: Vec<gv_cuda::CudaContext>,
+    cuda: CudaDevice,
+    /// The one charged context every rank's stream lives in.
+    cc: gv_cuda::CudaContext,
     req_q: MessageQueue<Request>,
     ranks: Vec<RankResources>,
     ml: MemLayer,
@@ -718,20 +665,15 @@ struct GvmCore {
 }
 
 impl GvmCore {
-    /// Initialization: contexts, the request queue, every rank's virtual
+    /// Initialization: the context, the request queue, every rank's virtual
     /// resources, and the dispatch policy; opens `ready`.
-    fn boot(ctx: &mut Ctx, h: GvmHandle, cudas: Vec<CudaDevice>, node: &Node) -> GvmCore {
+    fn boot(ctx: &mut Ctx, h: GvmHandle, cuda: CudaDevice, node: &Node) -> GvmCore {
         let cfg = h.config.clone();
-        // "Gets the GPU device / Initializes Context": one charged context
-        // per device (a single-GPU node pays exactly one creation).
-        let contexts: Vec<gv_cuda::CudaContext> = cudas
-            .iter()
-            .enumerate()
-            .map(|(i, cuda)| cuda.create_context(ctx, &format!("{}-ctx{i}", h.endpoints.gvm)))
-            .collect();
+        // "Gets the GPU device / Initializes Context": one charged context.
+        let cc = cuda.create_context(ctx, &format!("{}-ctx0", h.endpoints.gvm));
         let req_q = h
             .req_mq
-            .create(&h.endpoints.request_queue(), cfg.req_queue_capacity)
+            .create(&h.endpoints.request_queue(), None)
             .expect("request queue name free");
 
         // Fault-free GVMs pre-allocate at boot (Fig. 8); the fault-tolerant
@@ -741,7 +683,7 @@ impl GvmCore {
         // OverQuota NAK at admission, never a silent boot-time grab), as
         // does swap: an oversubscribed session set cannot all be resident
         // at boot.
-        let lazy_alloc = cfg.fault_tolerance.is_some() || cfg.has_finite_quota() || cfg.swap;
+        let lazy_alloc = cfg.fault_tolerance || cfg.has_finite_quota() || cfg.swap;
 
         // One lease window serves both directions on the zero-copy path, so
         // it cannot coexist with the steady-state double buffer (which
@@ -758,7 +700,7 @@ impl GvmCore {
         // pinned H2D bandwidth, per-chunk overhead from the fixed latencies
         // both sides charge per span — and refined online by an EWMA of
         // measured staging latency.
-        let dev_cfg = cudas[0].device().config();
+        let dev_cfg = cuda.device().config();
         let chooser = AdaptiveChooser::new(
             1.0 / node.config().memcpy_gbps,
             1.0e9 / dev_cfg.h2d_bytes_per_sec(true),
@@ -766,7 +708,7 @@ impl GvmCore {
         );
         let ml = MemLayer {
             mem: cfg.mem,
-            pool: StagingPool::with_config(cfg.mem.pool),
+            pool: StagingPool::new(),
             devcache: DeviceAllocCache::new(),
             chooser,
             spans: Vec::new(),
@@ -776,21 +718,15 @@ impl GvmCore {
         // The dispatch policy. Per-rank service estimates feed shortest-
         // job-first ordering; the other policies ignore them.
         let costs_ms: Vec<f64> = (0..cfg.ntask)
-            .map(|r| {
-                sched::estimate_cost_ms(
-                    &h.tasks[r],
-                    cudas[r % cudas.len()].device().config(),
-                    node.config(),
-                )
-            })
+            .map(|r| sched::estimate_cost_ms(&h.tasks[r], dev_cfg, node.config()))
             .collect();
         let scheduler = cfg.scheduler.build(costs_ms);
         let mut core = GvmCore {
             ranks: Vec::with_capacity(cfg.ntask),
             h,
             cfg,
-            cudas,
-            contexts,
+            cuda,
+            cc,
             req_q,
             ml,
             scheduler,
@@ -800,7 +736,7 @@ impl GvmCore {
             barrier_deadline: None,
         };
         for r in 0..core.cfg.ntask {
-            let rank = core.boot_rank(ctx, node, r);
+            let rank = core.boot_rank(ctx, r);
             core.ranks.push(rank);
             // With quota accounting on, an eager boot allocation is charged
             // (and its quota declared) right here; the lazy path declares
@@ -825,16 +761,12 @@ impl GvmCore {
     /// Rank `r`'s virtual resources: shared-memory segment, response
     /// queue, stream, and — unless allocation is lazy — device memory with
     /// its kernels pre-bound.
-    fn boot_rank(&mut self, ctx: &mut Ctx, node: &Node, r: usize) -> RankResources {
+    fn boot_rank(&mut self, ctx: &mut Ctx, r: usize) -> RankResources {
         let task = self.h.tasks[r].clone();
         let endpoints = &self.h.endpoints;
         // Shaped multi-round sessions size the segment (and the zero-copy
         // lease) for their largest round.
         let shm_size = task.max_bytes_in().max(task.bytes_out).max(1);
-        // Ranks map onto NUMA nodes by their core pinning so a rank's
-        // leases come from free lists local to its socket.
-        let cores = node.config().cores.max(1);
-        let numa = (r % cores) * self.cfg.mem.pool.numa_nodes.max(1) / cores;
         // Zero-copy: the rank's segment is not a private byte array the
         // GVM copies out of — it is a *view of a pinned pool lease*. The
         // client's SND write lands directly in pinned memory and H2D
@@ -844,7 +776,7 @@ impl GvmCore {
             let lease = self
                 .ml
                 .pool
-                .acquire_on(ctx.tracer(), shm_size, task.is_functional(), numa);
+                .acquire(ctx.tracer(), shm_size, task.is_functional());
             let shm = self
                 .h
                 .shm
@@ -868,11 +800,10 @@ impl GvmCore {
             .resp_mq
             .create(&endpoints.response_queue(r), None)
             .expect("response queue name free");
-        let dev_idx = r % self.contexts.len();
-        let cc = &self.contexts[dev_idx];
-        let stream = cc.stream_create();
+        let stream = self.cc.stream_create();
         let gpu = (!self.lazy_alloc).then(|| {
-            let dev_base = cc
+            let dev_base = self
+                .cc
                 .malloc(task.device_bytes.max(1))
                 .expect("GVM device allocation");
             // "Prepares the kernels to be executed when initialized".
@@ -885,7 +816,6 @@ impl GvmCore {
         RankResources {
             shm,
             resp,
-            dev_idx,
             stream,
             gpu,
             pinned_in: None,
@@ -894,7 +824,6 @@ impl GvmCore {
             pinned_in_next: None,
             h2d_preissued_next: false,
             round_tail: None,
-            numa,
             zc_lease,
             zc_desc: None,
             rounds_done: 0,
@@ -921,9 +850,9 @@ impl GvmCore {
                 (Some(t), Some(b)) => Some(b + t),
                 _ => None,
             };
-            let ft_deadline = self.cfg.fault_tolerance.as_ref().map(|ft| {
+            let ft_deadline = self.cfg.fault_tolerance.then(|| {
                 self.barrier_deadline
-                    .unwrap_or_else(|| ctx.now() + ft.idle_timeout)
+                    .unwrap_or_else(|| ctx.now() + IDLE_TIMEOUT)
             });
             let deadline = match (ft_deadline, sched_deadline) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -1116,9 +1045,9 @@ impl GvmCore {
     /// to make room.
     fn alloc_lazy(&mut self, ctx: &mut Ctx, r: usize) -> Result<DevicePtr, gv_cuda::CudaError> {
         let rank = &self.ranks[r];
-        let (dev_idx, bytes) = (rank.dev_idx, rank.task.device_bytes.max(1));
+        let bytes = rank.task.device_bytes.max(1);
         let functional = rank.task.is_functional();
-        let ptr = match self.ml.devcache.take(dev_idx, bytes) {
+        let ptr = match self.ml.devcache.take(bytes) {
             None => return self.alloc_with_swap(ctx, r, bytes),
             Some(CachedAlloc::Resident(ptr)) => ptr,
             Some(CachedAlloc::Swapped(lease)) => match self.alloc_with_swap(ctx, r, bytes) {
@@ -1129,9 +1058,7 @@ impl GvmCore {
                 Err(e) => {
                     // Park the working set back so its bytes are not lost
                     // with the lease.
-                    self.ml
-                        .devcache
-                        .park_swapped(dev_idx, bytes, lease, ctx.now());
+                    self.ml.devcache.park_swapped(bytes, lease, ctx.now());
                     return Err(e);
                 }
             },
@@ -1150,7 +1077,7 @@ impl GvmCore {
     /// the restore copies completed (no use-after-recycle).
     fn swap_in(&mut self, ctx: &mut Ctx, r: usize, ptr: DevicePtr, lease: StagingLease) {
         let rank = &self.ranks[r];
-        let (dev_idx, stream, bytes) = (rank.dev_idx, rank.stream, rank.task.device_bytes.max(1));
+        let (stream, bytes) = (rank.stream, rank.task.device_bytes.max(1));
         let dma = Dma {
             rank: r,
             h2d: true,
@@ -1160,13 +1087,13 @@ impl GvmCore {
             payload: bytes,
         };
         let k = self.ml.choose(bytes);
-        self.ml.submit(ctx, &self.contexts[dev_idx], &dma, k);
-        self.contexts[dev_idx].stream_synchronize(ctx, stream);
+        self.ml.submit(ctx, &self.cc, &dma, k);
+        self.cc.stream_synchronize(ctx, stream);
         ctx.tracer()
             .record_analysis(gv_sim::AnalysisRecord::SwapIn {
                 time: ctx.now(),
                 gvm: self.h.endpoints.gvm.clone(),
-                device: self.cudas[dev_idx].device().tracer_ordinal(),
+                device: self.cuda.device().tracer_ordinal(),
                 buf: lease.id(),
                 bytes,
             });
@@ -1185,7 +1112,7 @@ impl GvmCore {
         let k = self.ml.choose(bytes);
         let xfer = self.ml.plan(ctx.tracer(), r, bytes, k);
         let zeros = vec![0u8; bytes as usize];
-        let device = self.cudas[self.ranks[r].dev_idx].device();
+        let device = self.cuda.device();
         for span in &self.ml.spans {
             let range = span.offset as usize..(span.offset + span.len) as usize;
             device
@@ -1217,30 +1144,24 @@ impl GvmCore {
         r: usize,
         bytes: u64,
     ) -> Result<DevicePtr, gv_cuda::CudaError> {
-        let (dev_idx, stream, numa) = {
-            let rank = &self.ranks[r];
-            (rank.dev_idx, rank.stream, rank.numa)
-        };
+        let stream = self.ranks[r].stream;
         loop {
-            let err = match self.contexts[dev_idx].malloc(bytes) {
+            let err = match self.cc.malloc(bytes) {
                 Ok(ptr) => return Ok(ptr),
                 Err(e) => e,
             };
             if !self.cfg.swap {
                 return Err(err);
             }
-            // Pick the coldest resident parked allocation on this device;
-            // if nothing is parked there is nothing left to swap and the
-            // OOM is final.
-            let Some((vbytes, vptr, vstamp)) = self.ml.devcache.lru_resident(dev_idx) else {
+            // Pick the coldest resident parked allocation; if nothing is
+            // parked there is nothing left to swap and the OOM is final.
+            let Some((vbytes, vptr, vstamp)) = self.ml.devcache.lru_resident() else {
                 return Err(err);
             };
             // Stage the victim's bytes into an opaque pool lease through
             // the chunked planner, then free the device memory and re-park
             // the entry as swapped with its LRU stamp preserved.
-            // `acquire_on` never blocks, so admission backpressure cannot
-            // deadlock against a swap in progress.
-            let lease = self.ml.pool.acquire_on(ctx.tracer(), vbytes, false, numa);
+            let lease = self.ml.pool.acquire(ctx.tracer(), vbytes, false);
             let dma = Dma {
                 rank: r,
                 h2d: false,
@@ -1250,14 +1171,14 @@ impl GvmCore {
                 payload: vbytes,
             };
             let k = self.ml.choose(vbytes);
-            self.ml.submit(ctx, &self.contexts[dev_idx], &dma, k);
-            self.contexts[dev_idx].stream_synchronize(ctx, stream);
-            let _ = self.cudas[dev_idx].device().free(vptr);
+            self.ml.submit(ctx, &self.cc, &dma, k);
+            self.cc.stream_synchronize(ctx, stream);
+            let _ = self.cuda.device().free(vptr);
             ctx.tracer()
                 .record_analysis(gv_sim::AnalysisRecord::SwapOut {
                     time: ctx.now(),
                     gvm: self.h.endpoints.gvm.clone(),
-                    device: self.cudas[dev_idx].device().tracer_ordinal(),
+                    device: self.cuda.device().tracer_ordinal(),
                     buf: lease.id(),
                     bytes: vbytes,
                 });
@@ -1266,9 +1187,7 @@ impl GvmCore {
                 stats.swap_outs += 1;
                 stats.swapped_out_bytes += vbytes;
             }
-            self.ml
-                .devcache
-                .park_swapped(dev_idx, vbytes, lease, vstamp);
+            self.ml.devcache.park_swapped(vbytes, lease, vstamp);
         }
     }
 
@@ -1342,7 +1261,7 @@ impl GvmCore {
             // Coalescing: chain this lease right after the last one handed
             // out, so co-flushed ranks' staging leases sit adjacent and the
             // flush planner can fuse them.
-            let coalesce = self.ml.mem.coalesce.enabled;
+            let coalesce = self.ml.mem.coalesce;
             let slot = if prefetch {
                 &mut rank.pinned_in_next
             } else {
@@ -1351,10 +1270,10 @@ impl GvmCore {
             if slot.is_none() {
                 let hint = if coalesce { self.ml.chain_next } else { None };
                 let functional = rank.task.is_functional();
-                let lease =
-                    self.ml
-                        .pool
-                        .acquire_at(ctx.tracer(), bytes, functional, rank.numa, hint);
+                let lease = self
+                    .ml
+                    .pool
+                    .acquire_at(ctx.tracer(), bytes, functional, hint);
                 if coalesce {
                     self.ml.chain_next = Some(lease.place_addr() + lease.capacity());
                 }
@@ -1377,7 +1296,7 @@ impl GvmCore {
                 dev: rank.gpu.as_ref().expect("SND after allocation").dev_base,
                 payload: bytes,
             };
-            let cc = &self.contexts[rank.dev_idx];
+            let cc = &self.cc;
             let mut stage_ns = 0u64;
             for span in &self.ml.spans {
                 let s0 = ctx.now();
@@ -1431,9 +1350,9 @@ impl GvmCore {
         }
         self.str_waiting.push(r);
         self.batch_start.get_or_insert(ctx.now());
-        if let Some(ft) = &self.cfg.fault_tolerance {
+        if self.cfg.fault_tolerance {
             self.barrier_deadline
-                .get_or_insert(ctx.now() + ft.barrier_timeout);
+                .get_or_insert(ctx.now() + BARRIER_TIMEOUT);
         }
         let depth = self.str_waiting.len() as u64;
         {
@@ -1457,7 +1376,7 @@ impl GvmCore {
         let rank = &mut self.ranks[r];
         let done = match &rank.round_tail {
             Some(tail) => tail.is_done(),
-            None => self.contexts[rank.dev_idx].stream_query(rank.stream),
+            None => self.cc.stream_query(rank.stream),
         };
         let resp = if done {
             Response::ack(seq)
@@ -1588,17 +1507,15 @@ impl GvmCore {
     /// reuses it and demand-swap has idle working sets to evict.
     fn reclaim(&mut self, ctx: &mut Ctx, r: usize, evicting: bool) {
         let rank = &mut self.ranks[r];
-        let idle = self.contexts[rank.dev_idx].stream_query(rank.stream);
+        let idle = self.cc.stream_query(rank.stream);
         let park = idle && (evicting || self.lazy_alloc);
         if park || evicting {
             if let Some(gpu) = rank.gpu.take() {
                 if park {
                     let bytes = rank.task.device_bytes.max(1);
-                    self.ml
-                        .devcache
-                        .put(rank.dev_idx, bytes, gpu.dev_base, ctx.now());
+                    self.ml.devcache.put(bytes, gpu.dev_base, ctx.now());
                 } else {
-                    let _ = self.cudas[rank.dev_idx].device().free(gpu.dev_base);
+                    let _ = self.cuda.device().free(gpu.dev_base);
                 }
             }
         }
@@ -1632,9 +1549,7 @@ impl GvmCore {
     fn declare_quota(&self, ctx: &Ctx, r: usize) -> bool {
         let rank = &self.ranks[r];
         let demand = rank.task.device_bytes.max(1);
-        let cap = self.cudas[rank.dev_idx]
-            .device()
-            .with_memory(|m| m.capacity());
+        let cap = self.cuda.device().with_memory(|m| m.capacity());
         let quota = self.cfg.quota_for(r);
         ctx.tracer()
             .record_analysis(gv_sim::AnalysisRecord::QuotaSet {
@@ -1656,9 +1571,7 @@ impl GvmCore {
         }
         let rank = &mut self.ranks[r];
         rank.charged += bytes;
-        self.cudas[rank.dev_idx]
-            .device()
-            .with_memory(|m| m.charge(bytes));
+        self.cuda.device().with_memory(|m| m.charge(bytes));
         ctx.tracer()
             .record_analysis(gv_sim::AnalysisRecord::QuotaCharge {
                 time: ctx.now(),
@@ -1677,9 +1590,7 @@ impl GvmCore {
             return;
         }
         let bytes = std::mem::take(&mut rank.charged);
-        self.cudas[rank.dev_idx]
-            .device()
-            .with_memory(|m| m.credit(bytes));
+        self.cuda.device().with_memory(|m| m.credit(bytes));
         ctx.tracer()
             .record_analysis(gv_sim::AnalysisRecord::QuotaCredit {
                 time: ctx.now(),
@@ -1724,8 +1635,7 @@ impl GvmCore {
         // this over traces). Everything else goes through the per-rank
         // path, which stays bit-identical to the pre-coalescing schedule.
         let cfg = &self.cfg;
-        let coalesce =
-            cfg.mem.coalesce.enabled && group.len() >= 2 && !cfg.serial_flush && !cfg.swap;
+        let coalesce = cfg.mem.coalesce && group.len() >= 2 && !cfg.serial_flush && !cfg.swap;
         let dma_ops = if coalesce {
             self.flush_coalesced(ctx, group)
         } else {
@@ -1733,8 +1643,7 @@ impl GvmCore {
             for &r in group {
                 dma_ops += self.flush_rank(ctx, r);
                 if self.cfg.serial_flush {
-                    let rank = &self.ranks[r];
-                    self.contexts[rank.dev_idx].stream_synchronize(ctx, rank.stream);
+                    self.cc.stream_synchronize(ctx, self.ranks[r].stream);
                 }
             }
             dma_ops
@@ -1820,12 +1729,7 @@ impl GvmCore {
         );
         if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
             let functional = rank.task.is_functional();
-            rank.pinned_out = Some(self.ml.pool.acquire_on(
-                ctx.tracer(),
-                bytes_out,
-                functional,
-                rank.numa,
-            ));
+            rank.pinned_out = Some(self.ml.pool.acquire(ctx.tracer(), bytes_out, functional));
         }
         let preissued = std::mem::take(&mut rank.h2d_preissued);
         let mut dma_ops = 0u64;
@@ -1835,10 +1739,11 @@ impl GvmCore {
                 dma_ops += self.submit_h2d(ctx, r, bytes_in, k);
             }
             let rank = &self.ranks[r];
-            let cc = &self.contexts[rank.dev_idx];
             let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
             for k in &gpu.kernels {
-                cc.launch(ctx, rank.stream, k.clone()).expect("GVM launch");
+                self.cc
+                    .launch(ctx, rank.stream, k.clone())
+                    .expect("GVM launch");
             }
             // Zero-copy drains results only on the final iteration: one
             // lease window serves both directions, and an intermediate D2H
@@ -1855,7 +1760,7 @@ impl GvmCore {
         // prefetched next-round H2D lands on the stream and moves its tail.
         if self.cfg.mem.pipeline.steady {
             let rank = &mut self.ranks[r];
-            rank.round_tail = self.contexts[rank.dev_idx].stream_tail(rank.stream);
+            rank.round_tail = self.cc.stream_tail(rank.stream);
         }
         dma_ops
     }
@@ -1872,7 +1777,7 @@ impl GvmCore {
         let rank = &self.ranks[r];
         let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
         let lease = xfer_lease(rank, self.cfg.mem.zero_copy, true);
-        self.contexts[rank.dev_idx]
+        self.cc
             .memcpy_h2d_async(ctx, rank.stream, lease.buffer(), gpu.dev_base, bytes)
             .expect("GVM H2D submit");
         1
@@ -1898,7 +1803,7 @@ impl GvmCore {
             },
             payload: bytes,
         };
-        let spans = self.ml.submit(ctx, &self.contexts[rank.dev_idx], &dma, k);
+        let spans = self.ml.submit(ctx, &self.cc, &dma, k);
         if spans > 1 {
             let mut stats = self.h.stats.lock();
             stats.chunked_transfers += 1;
@@ -1927,10 +1832,10 @@ impl GvmCore {
             let rank = &mut self.ranks[r];
             let (bytes_out, functional) = (rank.task.bytes_out, rank.task.is_functional());
             if bytes_out > 0 && !zc && rank.pinned_out.is_none() {
-                let lease =
-                    self.ml
-                        .pool
-                        .acquire_at(ctx.tracer(), bytes_out, functional, rank.numa, chain);
+                let lease = self
+                    .ml
+                    .pool
+                    .acquire_at(ctx.tracer(), bytes_out, functional, chain);
                 chain = Some(lease.place_addr() + lease.capacity());
                 rank.pinned_out = Some(lease);
             } else if let Some(l) = rank.pinned_out.as_ref() {
@@ -1952,7 +1857,7 @@ impl GvmCore {
         if self.cfg.mem.pipeline.steady {
             for &r in group {
                 let rank = &mut self.ranks[r];
-                rank.round_tail = self.contexts[rank.dev_idx].stream_tail(rank.stream);
+                rank.round_tail = self.cc.stream_tail(rank.stream);
             }
         }
         let mut stats = self.h.stats.lock();
@@ -1964,10 +1869,10 @@ impl GvmCore {
     }
 
     /// One direction's DMA wave of a coalesced flush at iteration `it`.
-    /// Per device, runs of members whose staging leases are adjacent in
-    /// host memory ([`CoalescePlan`]) go down as one fused DMA submission —
-    /// the copy engine sweeps the combined range and every sub-op after the
-    /// first elides the per-op setup latency — with an
+    /// Runs of members whose staging leases are adjacent in host memory
+    /// ([`CoalescePlan`]) go down as one fused DMA submission — the copy
+    /// engine sweeps the combined range and every sub-op after the first
+    /// elides the per-op setup latency — with an
     /// [`AnalysisRecord::CoalesceOp`](gv_sim::AnalysisRecord::CoalesceOp)
     /// manifest for the gv-analyze coalesce checker; singletons go through
     /// the per-rank submitters. Staged outputs drain every iteration,
@@ -1983,7 +1888,7 @@ impl GvmCore {
     ) {
         let zc = self.cfg.mem.zero_copy;
         let quota_on = self.cfg.quotas.is_some();
-        let mut by_dev: Vec<(usize, Vec<WaveXfer>)> = Vec::new();
+        let mut xfers: Vec<WaveXfer> = Vec::new();
         for (gi, &r) in group.iter().enumerate() {
             let rank = &self.ranks[r];
             let task = &rank.task;
@@ -1996,111 +1901,97 @@ impl GvmCore {
             if it >= task.iterations || bytes == 0 || skip {
                 continue;
             }
-            let x = WaveXfer {
+            xfers.push(WaveXfer {
                 r,
                 bytes,
                 k: self.ml.choose(bytes),
-            };
-            match by_dev.iter_mut().find(|(d, _)| *d == rank.dev_idx) {
-                Some((_, v)) => v.push(x),
-                None => by_dev.push((rank.dev_idx, vec![x])),
-            }
+            });
         }
-        for (dev_idx, xfers) in &by_dev {
-            let members: Vec<CoalesceMember> = xfers
-                .iter()
-                .map(|x| {
-                    let rank = &self.ranks[x.r];
-                    let eligible = x.k == 1 && (!quota_on || rank.charged > 0);
-                    CoalesceMember::from_lease(x.r, x.bytes, xfer_lease(rank, zc, h2d), eligible)
-                })
-                .collect();
-            for run in &CoalescePlan::plan(&self.cfg.mem.coalesce, &members).runs {
-                if let [i] = run[..] {
-                    let x = &xfers[i];
-                    tally.dma_ops += if h2d {
-                        self.submit_h2d(ctx, x.r, x.bytes, x.k)
-                    } else {
-                        self.submit_spans(ctx, x.r, false, x.bytes, x.k)
-                    };
-                    continue;
-                }
-                let cc = &self.contexts[*dev_idx];
-                let rank_of = |i: usize| &self.ranks[xfers[i].r];
-                let dev_base = |i: usize| {
-                    rank_of(i)
-                        .gpu
-                        .as_ref()
-                        .expect("flushed rank allocated")
-                        .dev_base
-                };
-                let handles = if h2d {
-                    let items: Vec<gv_cuda::BatchH2d<'_>> = run
-                        .iter()
-                        .map(|&i| gv_cuda::BatchH2d {
-                            stream: rank_of(i).stream,
-                            src: xfer_lease(rank_of(i), zc, true).buffer(),
-                            src_offset: 0,
-                            dst: dev_base(i),
-                            bytes: xfers[i].bytes,
-                        })
-                        .collect();
-                    cc.memcpy_h2d_async_batch(ctx, &items)
+        let members: Vec<CoalesceMember> = xfers
+            .iter()
+            .map(|x| {
+                let rank = &self.ranks[x.r];
+                let eligible = x.k == 1 && (!quota_on || rank.charged > 0);
+                CoalesceMember::from_lease(x.r, x.bytes, xfer_lease(rank, zc, h2d), eligible)
+            })
+            .collect();
+        for run in &CoalescePlan::plan(&members).runs {
+            if let [i] = run[..] {
+                let x = &xfers[i];
+                tally.dma_ops += if h2d {
+                    self.submit_h2d(ctx, x.r, x.bytes, x.k)
                 } else {
-                    let items: Vec<gv_cuda::BatchD2h<'_>> = run
-                        .iter()
-                        .map(|&i| gv_cuda::BatchD2h {
-                            stream: rank_of(i).stream,
-                            src: dev_base(i).add(rank_of(i).task.d2h_offset),
-                            dst: xfer_lease(rank_of(i), zc, false).buffer(),
-                            dst_offset: 0,
-                            bytes: xfers[i].bytes,
-                        })
-                        .collect();
-                    cc.memcpy_d2h_async_batch(ctx, &items)
-                }
-                .expect("GVM fused DMA submit");
-                tally.dma_ops += run.len() as u64;
-                tally.fused_groups += 1;
-                tally.fused_subs += run.len() as u64;
-                if ctx.tracer().analysis_enabled() {
-                    record_coalesce_op(ctx, &self.h, cc, h2d, run, &members, &handles);
-                }
+                    self.submit_spans(ctx, x.r, false, x.bytes, x.k)
+                };
+                continue;
+            }
+            let rank_of = |i: usize| &self.ranks[xfers[i].r];
+            let dev_base = |i: usize| {
+                rank_of(i)
+                    .gpu
+                    .as_ref()
+                    .expect("flushed rank allocated")
+                    .dev_base
+            };
+            let handles = if h2d {
+                let items: Vec<gv_cuda::BatchH2d<'_>> = run
+                    .iter()
+                    .map(|&i| gv_cuda::BatchH2d {
+                        stream: rank_of(i).stream,
+                        src: xfer_lease(rank_of(i), zc, true).buffer(),
+                        src_offset: 0,
+                        dst: dev_base(i),
+                        bytes: xfers[i].bytes,
+                    })
+                    .collect();
+                self.cc.memcpy_h2d_async_batch(ctx, &items)
+            } else {
+                let items: Vec<gv_cuda::BatchD2h<'_>> = run
+                    .iter()
+                    .map(|&i| gv_cuda::BatchD2h {
+                        stream: rank_of(i).stream,
+                        src: dev_base(i).add(rank_of(i).task.d2h_offset),
+                        dst: xfer_lease(rank_of(i), zc, false).buffer(),
+                        dst_offset: 0,
+                        bytes: xfers[i].bytes,
+                    })
+                    .collect();
+                self.cc.memcpy_d2h_async_batch(ctx, &items)
+            }
+            .expect("GVM fused DMA submit");
+            tally.dma_ops += run.len() as u64;
+            tally.fused_groups += 1;
+            tally.fused_subs += run.len() as u64;
+            if ctx.tracer().analysis_enabled() {
+                record_coalesce_op(ctx, &self.h, &self.cc, h2d, run, &members, &handles);
             }
         }
     }
 
     /// The kernel wave of a coalesced flush at iteration `it`: when ≥ 2
-    /// ranks launch on one device, their kernels go down as a single
-    /// batched submission charging the host launch overhead once instead
-    /// of once per kernel.
+    /// ranks launch, their kernels go down as a single batched submission
+    /// charging the host launch overhead once instead of once per kernel.
     fn launch_wave(&self, ctx: &mut Ctx, group: &[usize], it: u32, tally: &mut WaveTally) {
-        let mut launches: Vec<LaunchWave> = Vec::new();
+        let mut nranks = 0usize;
+        let mut items: Vec<(gv_gpu::StreamId, gv_gpu::KernelDesc)> = Vec::new();
         for &r in group {
             let rank = &self.ranks[r];
             if it >= rank.task.iterations {
                 continue;
             }
             let gpu = rank.gpu.as_ref().expect("flushed rank allocated");
-            let items = gpu.kernels.iter().map(|k| (rank.stream, k.clone()));
-            match launches.iter_mut().find(|(d, _, _)| *d == rank.dev_idx) {
-                Some((_, n, v)) => {
-                    *n += 1;
-                    v.extend(items);
-                }
-                None => launches.push((rank.dev_idx, 1, items.collect())),
-            }
+            nranks += 1;
+            items.extend(gpu.kernels.iter().map(|k| (rank.stream, k.clone())));
         }
-        for (dev_idx, nranks, items) in launches {
-            let cc = &self.contexts[dev_idx];
-            if nranks >= 2 && !items.is_empty() {
-                cc.launch_batch(ctx, &items).expect("GVM batched launch");
-                tally.launch_waves += 1;
-                tally.batched_launches += items.len() as u64;
-            } else {
-                for (stream, k) in items {
-                    cc.launch(ctx, stream, k).expect("GVM launch");
-                }
+        if nranks >= 2 && !items.is_empty() {
+            self.cc
+                .launch_batch(ctx, &items)
+                .expect("GVM batched launch");
+            tally.launch_waves += 1;
+            tally.batched_launches += items.len() as u64;
+        } else {
+            for (stream, k) in items {
+                self.cc.launch(ctx, stream, k).expect("GVM launch");
             }
         }
     }
@@ -2115,7 +2006,7 @@ impl GvmCore {
             self.quota_credit_all(ctx, r);
             let rank = &mut self.ranks[r];
             if let Some(gpu) = &rank.gpu {
-                let _ = self.cudas[rank.dev_idx].device().free(gpu.dev_base);
+                let _ = self.cuda.device().free(gpu.dev_base);
             }
             if let Some(l) = rank.zc_lease.take() {
                 self.ml.pool.recycle(ctx.tracer(), l);
@@ -2126,10 +2017,10 @@ impl GvmCore {
         // entries hold no device memory, their staging leases go back to
         // the pool (`PoolRecycle` is the retirement marker the quota
         // checker matches against outstanding swap-outs).
-        for (dev, _bytes, state) in self.ml.devcache.drain() {
+        for (_bytes, state) in self.ml.devcache.drain() {
             match state {
                 CachedAlloc::Resident(ptr) => {
-                    let _ = self.cudas[dev].device().free(ptr);
+                    let _ = self.cuda.device().free(ptr);
                 }
                 CachedAlloc::Swapped(lease) => {
                     self.ml.pool.recycle(ctx.tracer(), lease);
@@ -2145,8 +2036,6 @@ impl GvmCore {
             stats.pool_high_water_bytes = ps.high_water_bytes;
             stats.pool_released_buffers = ps.released_buffers;
             stats.pool_released_bytes = ps.released_bytes;
-            stats.pool_over_cap = ps.over_cap;
-            stats.pool_backpressure_waits = ps.backpressure_waits;
             stats.devcache_hits = cs.hits;
             stats.devcache_misses = cs.misses;
         }
@@ -2161,10 +2050,6 @@ fn send_recorded(ctx: &mut Ctx, rank: &mut RankResources, resp: Response) {
     rank.last_resp = Some(resp.kind);
     let _ = rank.resp.send(ctx, resp);
 }
-
-/// One device's kernel wave: device index, rank count, and the
-/// per-stream launch descriptors in flush order.
-type LaunchWave = (usize, usize, Vec<(gv_gpu::StreamId, gv_gpu::KernelDesc)>);
 
 /// One transfer a coalescing wave wants to move: the member's rank, its
 /// payload this iteration, and the chunk count the per-rank path would
@@ -2221,4 +2106,57 @@ fn record_coalesce_op(
             gens: run.iter().map(|&i| members[i].generation).collect(),
             cmds: handles.iter().map(|cmd| cmd.id).collect(),
         });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `merge` into an empty audit reproduces its argument exactly. The
+    /// literal names every field (no `..Default::default()`) with a
+    /// distinct nonzero value, so a field added without a `merge` line
+    /// breaks the build here or shows up as a `Debug` mismatch.
+    #[test]
+    fn merge_covers_every_field() {
+        let ns = SimDuration::from_nanos;
+        let stats = GvmStats {
+            snd_copies: 1,
+            rcv_copies: 2,
+            copy_time: ns(3),
+            flushes: 4,
+            submit_time: ns(5),
+            stp_waits: 6,
+            evictions: 7,
+            naks: 8,
+            dedup_hits: 9,
+            partial_flushes: 10,
+            queue_depth_max: 11,
+            queue_depth_sum: 12,
+            queue_depth_samples: 13,
+            idle_gap: ns(14),
+            pool_hits: 15,
+            pool_misses: 16,
+            pool_high_water_bytes: 17,
+            devcache_hits: 18,
+            devcache_misses: 19,
+            chunked_transfers: 20,
+            chunks_submitted: 21,
+            steady_prefetches: 22,
+            pool_released_buffers: 23,
+            pool_released_bytes: 24,
+            quota_naks: 25,
+            swap_outs: 26,
+            swap_ins: 27,
+            swapped_out_bytes: 28,
+            swapped_in_bytes: 29,
+            fused_dma_groups: 30,
+            fused_dma_subs: 31,
+            batched_launch_waves: 32,
+            batched_launches: 33,
+            flush_dma_ops: 34,
+        };
+        let mut merged = GvmStats::default();
+        merged.merge(&stats);
+        assert_eq!(format!("{merged:?}"), format!("{stats:?}"));
+    }
 }

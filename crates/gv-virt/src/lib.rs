@@ -40,7 +40,7 @@ pub use cluster::{
 };
 pub use fault::{FaultPlan, FaultSpec, PlanParseError, QueueSel};
 pub use gv_mem::{MemConfig, PipelineConfig};
-pub use gvm::{FtConfig, Gvm, GvmConfig, GvmHandle, GvmStats};
+pub use gvm::{Gvm, GvmConfig, GvmHandle, GvmStats};
 pub use protocol::{Endpoints, NakReason, Request, RequestKind, Response, ResponseKind, TaskRun};
 pub use quota::MemQuota;
 pub use remote::{RemoteClient, RemoteConfig, RemoteGpuDaemon, RemoteGpuHandle};

@@ -14,7 +14,15 @@
 //! | `RLS`   | release my VGPU resources |
 
 use gv_mem::StagingDescriptor;
-use gv_sim::SimTime;
+use gv_sim::{SimDuration, SimTime};
+
+/// Client `STP` poll backoff: the first wait after a `WAIT` answer. Each
+/// further `WAIT` doubles it, up to [`STP_POLL_MAX`]. The VGPU client and
+/// the remote-GPU client share this shape.
+pub(crate) const STP_POLL_INITIAL: SimDuration = SimDuration::from_micros(50);
+
+/// Client `STP` poll backoff cap.
+pub(crate) const STP_POLL_MAX: SimDuration = SimDuration::from_millis(4);
 
 /// Request kinds a user process can send (paper Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

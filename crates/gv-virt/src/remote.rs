@@ -1,6 +1,6 @@
 //! Remote GPU access — the related-work baseline (paper §II).
 //!
-//! Duato et al. [11] and gVirtuS [10] share GPUs by shipping CUDA calls
+//! Duato et al. \[11\] and gVirtuS \[10\] share GPUs by shipping CUDA calls
 //! from GPU-less client nodes to a daemon on a GPU node over TCP/IP or
 //! InfiniBand. The paper argues this "can result in communication
 //! overheads in accessing GPUs from remote compute nodes" and that
@@ -22,10 +22,13 @@ use gv_gpu::DevicePtr;
 use gv_ipc::net::NetworkLink;
 use gv_ipc::{MessageQueue, MqRegistry, Node};
 use gv_kernels::GpuTask;
-use gv_sim::{Ctx, Gate, SimDuration, Simulation};
+use gv_sim::{Ctx, Gate, Simulation};
 use parking_lot::Mutex;
 
-use crate::protocol::{Request, RequestKind, Response, ResponseKind, TaskRun};
+use crate::client::next_backoff;
+use crate::protocol::{
+    Request, RequestKind, Response, ResponseKind, TaskRun, STP_POLL_INITIAL, STP_POLL_MAX,
+};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -34,8 +37,6 @@ pub struct RemoteConfig {
     pub name: String,
     /// Number of remote clients served.
     pub nclients: usize,
-    /// Client status-poll backoff cap.
-    pub poll_max: SimDuration,
 }
 
 impl RemoteConfig {
@@ -44,7 +45,6 @@ impl RemoteConfig {
         RemoteConfig {
             name: "rgpu".to_string(),
             nclients,
-            poll_max: SimDuration::from_millis(4),
         }
     }
 }
@@ -272,10 +272,10 @@ impl RemoteClient {
         self.call(ctx, RequestKind::Snd);
         let data_in_done = ctx.now();
         self.call(ctx, RequestKind::Str);
-        let mut backoff = SimDuration::from_micros(50);
+        let mut backoff = STP_POLL_INITIAL;
         while self.call(ctx, RequestKind::Stp) != ResponseKind::Ack {
             ctx.hold(backoff);
-            backoff = (backoff * 2).min(self.handle.config.poll_max);
+            backoff = next_backoff(backoff, STP_POLL_MAX);
         }
         let comp_done = ctx.now();
         self.call(ctx, RequestKind::Rcv);

@@ -15,7 +15,7 @@
 use gvirt::gpu::DeviceConfig;
 use gvirt::harness::scenario::{ExecutionMode, Scenario};
 use gvirt::kernels::{blackscholes, ep, mm, vecadd, GpuTask};
-use gvirt::mem::{CoalesceConfig, CoalesceMember, CoalescePlan};
+use gvirt::mem::{CoalesceMember, CoalescePlan, FUSE_THRESHOLD, MAX_GROUP};
 use gvirt::virt::MemConfig;
 use proptest::prelude::*;
 
@@ -173,39 +173,29 @@ proptest! {
     /// reproduces `0..n` — every member covered once (no gap), none twice
     /// (no overlap), input order preserved.
     #[test]
-    fn plan_is_an_exact_order_preserving_partition(
-        members in arb_members(),
-        enabled in any::<bool>(),
-        max_group in 0usize..6,
-    ) {
-        let cfg = CoalesceConfig {
-            enabled,
-            max_group,
-            ..CoalesceConfig::on()
-        };
-        let plan = CoalescePlan::plan(&cfg, &members);
+    fn plan_is_an_exact_order_preserving_partition(members in arb_members()) {
+        let plan = CoalescePlan::plan(&members);
         let flat: Vec<usize> = plan.runs.iter().flatten().copied().collect();
         prop_assert_eq!(flat, (0..members.len()).collect::<Vec<_>>());
         prop_assert_eq!(plan.len(), members.len());
         for run in &plan.runs {
             prop_assert!(!run.is_empty(), "runs are never empty");
-            prop_assert!(run.len() <= max_group.max(1), "run exceeds max_group");
+            prop_assert!(run.len() <= MAX_GROUP, "run exceeds MAX_GROUP");
         }
     }
 
     /// Every fused run obeys the fusion rules: all members eligible, in
-    /// `(0, fuse_threshold]`, and each lease region starting exactly where
+    /// `(0, FUSE_THRESHOLD]`, and each lease region starting exactly where
     /// the previous one ends.
     #[test]
     fn fused_runs_are_adjacent_and_eligible(members in arb_members()) {
-        let cfg = CoalesceConfig::on();
-        let plan = CoalescePlan::plan(&cfg, &members);
+        let plan = CoalescePlan::plan(&members);
         for run in plan.runs.iter().filter(|r| r.len() >= 2) {
             for window in run.windows(2) {
                 let (a, b) = (&members[window[0]], &members[window[1]]);
                 prop_assert!(a.eligible && b.eligible);
-                prop_assert!(a.bytes > 0 && a.bytes <= cfg.fuse_threshold);
-                prop_assert!(b.bytes > 0 && b.bytes <= cfg.fuse_threshold);
+                prop_assert!(a.bytes > 0 && a.bytes <= FUSE_THRESHOLD);
+                prop_assert!(b.bytes > 0 && b.bytes <= FUSE_THRESHOLD);
                 prop_assert_eq!(a.place + a.cap, b.place);
             }
         }

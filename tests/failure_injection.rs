@@ -6,8 +6,8 @@
 //! The second half of this file drives the deterministic [`FaultPlan`]
 //! subsystem end to end: scripted client aborts at every protocol stage,
 //! message drop/delay/duplication on both queue directions, shared-memory
-//! corruption, device OOM mid-`SND`, and bounded-queue backpressure, in
-//! both the GVM and the direct-sharing baseline.
+//! corruption, and device OOM mid-`SND`, in both the GVM and the
+//! direct-sharing baseline.
 
 use gvirt::cuda::{CudaDevice, CudaError, HostBuffer};
 use gvirt::gpu::{DeviceConfig, GpuDevice, MemError};
@@ -423,57 +423,6 @@ fn direct_abort_leaks_device_memory_without_a_manager() {
             );
         }
     }
-}
-
-/// A depth-1 request queue exerts backpressure — senders block in
-/// simulated time — but the protocol still completes for 8 ranks with a
-/// single barrier flush and correct outputs.
-#[test]
-fn bounded_request_queue_backpressure_completes() {
-    let n = 8;
-    let mut sim = Simulation::new();
-    let cfg = DeviceConfig::tesla_c2070_paper();
-    let device = GpuDevice::install(&mut sim, cfg.clone());
-    let cuda = CudaDevice::new(device.clone());
-    let node = Node::new(NodeConfig::dual_xeon_x5560());
-    let inputs = ft_inputs(n);
-    let tasks: Vec<_> = inputs
-        .iter()
-        .map(|(a, b)| vecadd::functional_task(&cfg, a, b))
-        .collect();
-    let mut gcfg = GvmConfig::new(n);
-    gcfg.req_queue_capacity = Some(1);
-    let handle = Gvm::install(&mut sim, &node, &cuda, gcfg, tasks);
-    type Results = Arc<Mutex<Vec<(usize, Vec<u8>)>>>;
-    let results: Results = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..n {
-        let handle = handle.clone();
-        let results = results.clone();
-        node.spawn_pinned(&mut sim, rank, &format!("spmd-{rank}"), move |ctx| {
-            let client = VgpuClient::connect(ctx, &handle, rank);
-            let (_run, out) = client.run_task(ctx);
-            results.lock().push((rank, out.expect("functional output")));
-        })
-        .unwrap();
-    }
-    let h2 = handle.clone();
-    let dev2 = device.clone();
-    sim.spawn("supervisor", move |ctx| {
-        h2.done.wait(ctx);
-        dev2.shutdown(ctx);
-    });
-    sim.run().unwrap();
-    let results = results.lock();
-    assert_eq!(results.len(), n);
-    for (rank, bytes) in results.iter() {
-        let (a, b) = &inputs[*rank];
-        assert_eq!(
-            vecadd::decode_output(bytes),
-            vecadd::reference(a, b),
-            "rank {rank} output wrong under backpressure"
-        );
-    }
-    assert_eq!(handle.stats.lock().flushes, 1);
 }
 
 /// Device OOM at the first lazy `SND` allocation: the losing rank is

@@ -17,7 +17,7 @@ use gvirt::analyze::model::to_dump;
 use gvirt::gpu::DeviceConfig;
 use gvirt::harness::scenario::{ExecutionMode, Scenario};
 use gvirt::kernels::{blackscholes, ep, mm, vecadd, GpuTask};
-use gvirt::mem::{PoolConfig, StagingPool};
+use gvirt::mem::StagingPool;
 use gvirt::sim::Tracer;
 use gvirt::virt::MemConfig;
 use proptest::prelude::*;
@@ -260,7 +260,7 @@ proptest! {
         retire_last in any::<bool>(),
     ) {
         let tracer = Tracer::new();
-        let pool = StagingPool::with_config(PoolConfig::default());
+        let pool = StagingPool::new();
         let mut stale = Vec::new();
         for round in 0..rounds {
             let lease = pool.acquire(&tracer, bytes, false);
