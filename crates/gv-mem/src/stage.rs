@@ -38,12 +38,12 @@ pub fn stage_span(
             let data = shm.read(ctx, span.offset, span.len)?;
             pinned.fill_at(span.offset, &data);
         } else {
-            shm.touch(ctx, span.len)?;
+            shm.touch(ctx, span.offset, span.len, false)?;
         }
     } else {
         match pinned.read_range(span.offset, span.len) {
             Some(data) => shm.write(ctx, span.offset, &data)?,
-            None => shm.touch(ctx, span.len)?,
+            None => shm.touch(ctx, span.offset, span.len, true)?,
         }
     }
     Ok(())
