@@ -2,8 +2,8 @@
 //!
 //! The execution substrate for the GPU-virtualization reproduction: a
 //! SimPy-style process-oriented discrete-event simulator. Simulation
-//! *processes* are ordinary Rust closures running on dedicated threads, but
-//! exactly one runs at a time, so execution is deterministic and all shared
+//! *processes* are ordinary Rust closures, each on an OS thread of its own
+//! (recycled from process to process), but exactly one runs at a time, so execution is deterministic and all shared
 //! state is effectively single-threaded. There is no engine thread in the
 //! loop: a process that yields takes the scheduling step itself and hands
 //! control directly to its successor (or keeps it, when the step picks it
@@ -39,6 +39,7 @@ pub mod channel;
 pub mod clock;
 pub mod kernel;
 pub mod oracle;
+mod pool;
 pub mod process;
 pub mod resource;
 pub mod sync;
