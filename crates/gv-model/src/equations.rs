@@ -84,7 +84,8 @@ impl SpeedupModel {
 /// `k = 1` degenerates to the serial `t_stage + t_xfer`; as `k → ∞` the
 /// makespan approaches `max(t_stage, t_xfer)` — the classic pipeline
 /// bound. Per-chunk fixed overheads are not modeled here; they are what
-/// the harness sweep (`repro_pipeline`) measures empirically.
+/// the harness sweep (`repro_bench --only pipeline`) measures
+/// empirically.
 pub fn pipelined_staging(t_stage: f64, t_xfer: f64, k: u32) -> f64 {
     assert!(k >= 1, "pipeline needs at least one chunk");
     assert!(t_stage >= 0.0 && t_xfer >= 0.0);
@@ -145,8 +146,8 @@ pub fn optimal_chunks(t_stage: f64, t_xfer: f64, overhead: f64, cap: u32) -> u32
 ///
 /// The term closes the oversubscription trade-off: admitting a session
 /// beyond VRAM is profitable when the queueing delay it avoids exceeds
-/// the `T_swap` round trips its residency churn induces (`repro_quota`
-/// measures the empirical side of that inequality).
+/// the `T_swap` round trips its residency churn induces (`repro_bench
+/// --only quota` measures the empirical side of that inequality).
 pub fn swap_cost(bytes: f64, r_d2h: f64, r_h2d: f64, k: u32, overhead: f64) -> f64 {
     assert!(k >= 1, "a swap copies at least one chunk");
     assert!(bytes >= 0.0 && r_d2h >= 0.0 && r_h2d >= 0.0 && overhead >= 0.0);
@@ -155,7 +156,8 @@ pub fn swap_cost(bytes: f64, r_d2h: f64, r_h2d: f64, k: u32, overhead: f64) -> f
 
 /// Per-request *transport* overhead of the GVM request path — everything a
 /// request pays beyond the device copies and kernels themselves — for the
-/// two wire formats (`repro_zerocopy` measures the empirical side):
+/// two wire formats (`repro_bench --only zerocopy` measures the empirical
+/// side):
 ///
 /// * **Staged** (`zero_copy = false`): the payload crosses host memory
 ///   three extra times — client write into shm (`bytes_in`), the GVM's
@@ -203,8 +205,8 @@ pub fn request_overhead(
 ///
 /// The predicted saving of a coalesced flush over the per-rank flush is
 /// therefore `(ops − groups)·l_op` — what `DeviceStats::fused_dma_saved`
-/// meters on the simulated engine and `repro_coalesce` measures end to
-/// end. Per-byte copy time is unchanged by fusion (the same bytes cross
+/// meters on the simulated engine and `repro_bench --only coalesce`
+/// measures end to end. Per-byte copy time is unchanged by fusion (the same bytes cross
 /// the bus either way), so it does not appear in the term.
 pub fn coalesced_overhead(ops: u32, groups: u32, l_op: f64) -> f64 {
     assert!(
