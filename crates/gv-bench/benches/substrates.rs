@@ -2,8 +2,11 @@
 //! primitives, the device allocator, and the numerical kernels' host cost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gv_gpu::DeviceMemory;
-use gv_kernels::{blackscholes, cg, ep, mg};
+use gv_cuda::HostBuffer;
+use gv_gpu::{DeviceConfig, DeviceMemory};
+use gv_ipc::{NodeConfig, ShmRegistry};
+use gv_kernels::{blackscholes, cg, ep, mg, vecadd};
+use gv_mem::{stage_span, PipelineConfig};
 use gv_sim::{SimChannel, SimDuration, Simulation, Summary};
 
 /// Scheduling steps per hold fan-out run.
@@ -112,6 +115,40 @@ fn kernels_host(c: &mut Criterion) {
     g.bench_function("blackscholes_10k", |b| {
         let (s, x, t) = blackscholes::generate_options(10_000, 1);
         b.iter(|| blackscholes::reference(&s, &x, &t))
+    });
+    // The functional byte path apart from the engine: one vecadd body in
+    // place over its device region, and one 8 MiB payload staged
+    // shm → pinned → shm in four spans.
+    g.bench_function("vecadd_body_1M", |b| {
+        let n = 1 << 20;
+        let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let task = vecadd::functional_task(&DeviceConfig::tesla_c2070_paper(), &a, &a);
+        let mut mem = DeviceMemory::new(task.device_bytes);
+        let base = mem.alloc(task.device_bytes).unwrap();
+        mem.write_bytes(base, task.input.as_ref().unwrap()).unwrap();
+        let body = task.bind_kernels(base)[0].body.clone().unwrap();
+        b.iter(|| body(&mut mem))
+    });
+    g.bench_function("stage_span_functional_8MiB", |b| {
+        let payload = 8u64 << 20;
+        let shm = ShmRegistry::new(&NodeConfig::test_tiny())
+            .create("seg", payload)
+            .unwrap();
+        shm.poke(0, &vec![7u8; payload as usize]).unwrap();
+        let pinned = HostBuffer::zeroed(payload, true);
+        let spans = PipelineConfig::chunked(4, 1).plan(payload);
+        b.iter(|| {
+            let (shm, pinned, spans) = (shm.clone(), pinned.clone(), spans.clone());
+            let mut sim = Simulation::new();
+            sim.spawn("stage", move |ctx| {
+                for h2d in [true, false] {
+                    for s in &spans {
+                        stage_span(ctx, &shm, &pinned, *s, h2d).unwrap();
+                    }
+                }
+            });
+            sim.run().unwrap()
+        })
     });
     g.finish();
 }

@@ -220,11 +220,7 @@ impl CudaContext {
                 capacity: src.len(),
             });
         }
-        let data = src.storage().map(|s| {
-            let guard = s.lock();
-            let start = src_offset as usize;
-            Arc::new(guard[start..start + bytes as usize].to_vec())
-        });
+        let data = src.with_range(src_offset, bytes, |b| Arc::new(b.to_vec()));
         let h = self.cuda.device.submit(
             ctx,
             self.gctx,
@@ -267,11 +263,9 @@ impl CudaContext {
                     capacity: it.src.len(),
                 });
             }
-            let data = it.src.storage().map(|s| {
-                let guard = s.lock();
-                let start = it.src_offset as usize;
-                Arc::new(guard[start..start + it.bytes as usize].to_vec())
-            });
+            let data = it
+                .src
+                .with_range(it.src_offset, it.bytes, |b| Arc::new(b.to_vec()));
             cmds.push((
                 it.stream,
                 CommandKind::CopyH2D {

@@ -135,56 +135,53 @@ impl HostBuffer {
     /// only; panics when the range overruns the buffer). Chunked staging
     /// writes each span in place without touching the rest.
     pub fn fill_at(&self, offset: u64, data: &[u8]) {
-        let storage = self.data.as_ref().expect("fill_at on a timing-only buffer");
-        let mut guard = storage.lock();
-        let start = offset as usize;
-        let end = start
-            .checked_add(data.len())
-            .expect("fill_at range overflow");
-        assert!(
-            end <= guard.len(),
-            "fill_at range {start}..{end} overruns buffer of {} bytes",
-            guard.len()
-        );
-        guard[start..end].copy_from_slice(data);
+        self.with_range_mut(offset, data.len() as u64, |dst| dst.copy_from_slice(data))
+            .expect("fill_at on a timing-only buffer");
     }
 
     /// Fill `out` from the sub-range starting at `offset` without
     /// allocating (functional buffers only; panics when the range overruns
     /// the buffer). The zero-copy shm backing reads through here.
     pub fn read_into(&self, offset: u64, out: &mut [u8]) {
-        let storage = self
-            .data
-            .as_ref()
+        self.with_range(offset, out.len() as u64, |src| out.copy_from_slice(src))
             .expect("read_into on a timing-only buffer");
-        let guard = storage.lock();
-        let start = offset as usize;
-        let end = start.checked_add(out.len()).expect("read_into overflow");
-        assert!(
-            end <= guard.len(),
-            "read_into {start}..{end} overruns buffer of {} bytes",
-            guard.len()
-        );
-        out.copy_from_slice(&guard[start..end]);
     }
 
-    /// Snapshot a sub-range as bytes (functional buffers only; `None` for
-    /// timing-only buffers; panics when the range overruns the buffer).
-    pub fn read_range(&self, offset: u64, len: u64) -> Option<Vec<u8>> {
-        self.data.as_ref().map(|d| {
-            let guard = d.lock();
-            let start = offset as usize;
-            let end = start
-                .checked_add(len as usize)
-                .expect("read_range overflow");
-            assert!(
-                end <= guard.len(),
-                "read_range {start}..{end} overruns buffer of {} bytes",
-                guard.len()
-            );
-            guard[start..end].to_vec()
-        })
+    /// Run `f` over the `len` bytes at `offset`, borrowed in place under
+    /// the buffer's lock (functional buffers only; `None` for timing-only
+    /// buffers; panics when the range overruns the buffer). `f` must not
+    /// lock this buffer again.
+    pub fn with_range<R>(&self, offset: u64, len: u64, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let guard = self.data.as_ref()?.lock();
+        Some(f(&guard[range(offset, len, guard.len())]))
     }
+
+    /// [`with_range`](Self::with_range), mutably: chunked staging copies a
+    /// span straight into the buffer through here.
+    pub fn with_range_mut<R>(
+        &self,
+        offset: u64,
+        len: u64,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Option<R> {
+        let mut guard = self.data.as_ref()?.lock();
+        let r = range(offset, len, guard.len());
+        Some(f(&mut guard[r]))
+    }
+}
+
+/// The in-bounds byte range `len` bytes at `offset` cover in a buffer of
+/// `size` bytes (panics on overrun).
+fn range(offset: u64, len: u64, size: usize) -> std::ops::Range<usize> {
+    let start = offset as usize;
+    let end = start
+        .checked_add(len as usize)
+        .expect("host range overflow");
+    assert!(
+        end <= size,
+        "range {start}..{end} overruns buffer of {size} bytes"
+    );
+    start..end
 }
 
 #[cfg(test)]
@@ -231,8 +228,30 @@ mod tests {
         let b = HostBuffer::zeroed(8, true);
         b.fill_at(2, &[9, 8, 7]);
         assert_eq!(b.to_bytes().unwrap(), vec![0, 0, 9, 8, 7, 0, 0, 0]);
-        assert_eq!(b.read_range(2, 3).unwrap(), vec![9, 8, 7]);
-        assert!(HostBuffer::opaque(8, true).read_range(0, 4).is_none());
+        let mut out = [0u8; 3];
+        b.read_into(2, &mut out);
+        assert_eq!(out, [9, 8, 7]);
+    }
+
+    #[test]
+    fn with_range_borrows_the_span_in_place() {
+        let b = HostBuffer::zeroed(8, true);
+        b.with_range_mut(3, 2, |span| span.copy_from_slice(&[5, 6]))
+            .unwrap();
+        assert_eq!(
+            b.with_range(2, 4, <[u8]>::to_vec).unwrap(),
+            vec![0, 5, 6, 0]
+        );
+        assert_eq!(b.with_range(8, 0, <[u8]>::len), Some(0));
+        let opaque = HostBuffer::opaque(8, true);
+        assert!(opaque.with_range(0, 4, |_| ()).is_none());
+        assert!(opaque.with_range_mut(0, 4, |_| ()).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns buffer")]
+    fn with_range_overrun_panics() {
+        HostBuffer::zeroed(4, true).with_range(3, 2, |_| ());
     }
 
     #[test]

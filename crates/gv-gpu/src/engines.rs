@@ -413,50 +413,7 @@ impl SchedState {
                 engine.served += 1;
                 engine.last_fuse = cmd.fuse;
                 engine.last_done = now;
-                match &cmd.kind {
-                    CommandKind::CopyH2D {
-                        dst,
-                        data: Some(data),
-                        ..
-                    } => {
-                        memory
-                            .lock()
-                            .write_bytes(*dst, data)
-                            .expect("validated at submit");
-                    }
-                    CommandKind::CopyD2D {
-                        src,
-                        dst,
-                        bytes,
-                        functional: true,
-                    } => {
-                        memory
-                            .lock()
-                            .copy_within(*src, *dst, *bytes)
-                            .expect("validated at submit");
-                    }
-                    CommandKind::CopyD2H {
-                        src,
-                        bytes,
-                        sink: Some(sink),
-                        sink_offset,
-                        ..
-                    } => {
-                        let mut buf = vec![0u8; *bytes as usize];
-                        memory
-                            .lock()
-                            .read_bytes(*src, &mut buf)
-                            .expect("validated at submit");
-                        let off = *sink_offset as usize;
-                        let mut guard = sink.lock();
-                        if guard.len() < off + buf.len() {
-                            guard.resize(off + buf.len(), 0);
-                        }
-                        guard[off..off + buf.len()].copy_from_slice(&buf);
-                    }
-                    _ => {}
-                }
-                let _ = dir;
+                land(memory, &cmd.kind);
                 match &cmd.kind {
                     CommandKind::CopyH2D { .. } => self.stats.h2d_transfers += 1,
                     CommandKind::CopyD2H { .. } => self.stats.d2h_transfers += 1,
@@ -759,9 +716,132 @@ impl SchedState {
     }
 }
 
+/// Move a completed DMA command's functional bytes, one copy per
+/// transfer: H2D lands its submit-time snapshot in device memory, D2D
+/// copies device to device, and D2H reads device bytes straight into the
+/// sink (grown to cover the written range if needed). Timing-only
+/// commands move nothing.
+fn land(memory: &Mutex<DeviceMemory>, kind: &CommandKind) {
+    match kind {
+        CommandKind::CopyH2D {
+            dst,
+            data: Some(data),
+            ..
+        } => {
+            memory
+                .lock()
+                .write_bytes(*dst, data)
+                .expect("validated at submit");
+        }
+        CommandKind::CopyD2D {
+            src,
+            dst,
+            bytes,
+            functional: true,
+        } => {
+            memory
+                .lock()
+                .copy_within(*src, *dst, *bytes)
+                .expect("validated at submit");
+        }
+        CommandKind::CopyD2H {
+            src,
+            bytes,
+            sink: Some(sink),
+            sink_offset,
+            ..
+        } => {
+            let off = *sink_offset as usize;
+            let end = off + *bytes as usize;
+            let mut guard = sink.lock();
+            if guard.len() < end {
+                guard.resize(end, 0);
+            }
+            memory
+                .lock()
+                .read_bytes(*src, &mut guard[off..end])
+                .expect("validated at submit");
+        }
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts each thread's heap allocations, so a test can show that a
+    /// code path allocates nothing.
+    mod counting {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        struct Counting;
+
+        // SAFETY: every call is forwarded unchanged to the system allocator.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: Counting = Counting;
+
+        /// Allocations made so far on the calling thread.
+        pub fn allocations() -> u64 {
+            ALLOCATIONS.with(Cell::get)
+        }
+    }
+
+    #[test]
+    fn d2h_completion_reads_device_bytes_straight_into_the_sink() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let src = mem.alloc(4096).unwrap();
+        let payload: Vec<u8> = (0..=255).cycle().take(4096).collect();
+        mem.write_bytes(src, &payload).unwrap();
+        let memory = Mutex::new(mem);
+        let sink: HostSink = Arc::new(Mutex::new(vec![0u8; 8192]));
+        let d2h = |offset: u64, sink_offset: u64| CommandKind::CopyD2H {
+            src: src.add(offset),
+            bytes: 1024,
+            sink: Some(Arc::clone(&sink)),
+            sink_offset,
+            pinned: true,
+        };
+        let (first, second) = (d2h(0, 0), d2h(1024, 4096));
+        land(&memory, &first);
+        let before = counting::allocations();
+        land(&memory, &second);
+        assert_eq!(counting::allocations(), before, "D2H completion allocated");
+        let got = sink.lock();
+        assert_eq!(got[..1024], payload[..1024]);
+        assert_eq!(got[4096..5120], payload[1024..2048]);
+        assert!(got[1024..4096].iter().all(|&b| b == 0));
+        drop(got);
+        // A short sink grows to cover the written range.
+        let short: HostSink = Arc::new(Mutex::new(Vec::new()));
+        land(
+            &memory,
+            &CommandKind::CopyD2H {
+                src,
+                bytes: 16,
+                sink: Some(Arc::clone(&short)),
+                sink_offset: 8,
+                pinned: false,
+            },
+        );
+        assert_eq!(short.lock()[8..], payload[..16]);
+    }
 
     #[test]
     fn eligible_heads_sorted_by_submission() {

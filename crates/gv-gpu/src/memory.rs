@@ -80,6 +80,14 @@ struct Allocation {
     data: Option<Vec<u8>>,
 }
 
+impl Allocation {
+    /// The backing bytes, materialized on first touch.
+    fn bytes(&mut self) -> &mut [u8] {
+        let len = self.len as usize;
+        self.data.get_or_insert_with(|| vec![0u8; len])
+    }
+}
+
 /// Simulated device global memory.
 pub struct DeviceMemory {
     capacity: u64,
@@ -266,66 +274,67 @@ impl DeviceMemory {
         Ok(())
     }
 
-    fn backing(&mut self, alloc_id: u64) -> Result<(&mut Vec<u8>, u64), MemError> {
-        let alloc = self
-            .allocs
+    /// The backing bytes of live allocation `alloc_id`.
+    fn backing(&mut self, alloc_id: u64) -> Result<&mut [u8], MemError> {
+        self.allocs
             .get_mut(&alloc_id)
-            .ok_or(MemError::InvalidPointer)?;
-        let len = alloc.len;
-        let data = alloc.data.get_or_insert_with(|| vec![0u8; len as usize]);
-        Ok((data, len))
+            .map(Allocation::bytes)
+            .ok_or(MemError::InvalidPointer)
+    }
+
+    /// The `len` bytes at `ptr`, borrowed in place: the one bounds-checked
+    /// accessor every functional read, write and kernel body goes through.
+    /// Untouched (never-written) memory reads as zeroes, matching a freshly
+    /// materialized backing store.
+    pub fn bytes_mut(&mut self, ptr: DevicePtr, len: usize) -> Result<&mut [u8], MemError> {
+        let data = self.backing(ptr.alloc)?;
+        let (start, end) = span_in(ptr, len, data.len())?;
+        Ok(&mut data[start..end])
     }
 
     /// Write raw bytes at `ptr`.
     pub fn write_bytes(&mut self, ptr: DevicePtr, src: &[u8]) -> Result<(), MemError> {
-        let (data, len) = self.backing(ptr.alloc)?;
-        let end = ptr.offset + src.len() as u64;
-        if end > len {
-            return Err(MemError::OutOfBounds { end, len });
-        }
-        data[ptr.offset as usize..end as usize].copy_from_slice(src);
+        self.bytes_mut(ptr, src.len())?.copy_from_slice(src);
         Ok(())
     }
 
-    /// Read raw bytes at `ptr`. Untouched (never-written) memory reads as
-    /// zeroes, matching a freshly materialized backing store.
+    /// Read raw bytes at `ptr` into `dst`.
     pub fn read_bytes(&mut self, ptr: DevicePtr, dst: &mut [u8]) -> Result<(), MemError> {
-        let (data, len) = self.backing(ptr.alloc)?;
-        let end = ptr.offset + dst.len() as u64;
-        if end > len {
-            return Err(MemError::OutOfBounds { end, len });
-        }
-        dst.copy_from_slice(&data[ptr.offset as usize..end as usize]);
+        dst.copy_from_slice(self.bytes_mut(ptr, dst.len())?);
         Ok(())
     }
 
     /// Write a slice of `f32`s at `ptr` (little-endian device layout).
     pub fn write_f32(&mut self, ptr: DevicePtr, src: &[f32]) -> Result<(), MemError> {
-        let bytes: Vec<u8> = src.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.write_bytes(ptr, &bytes)
+        let dst = self.bytes_mut(ptr, 4 * src.len())?;
+        for (d, v) in dst.chunks_exact_mut(4).zip(src) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
+        Ok(())
     }
 
     /// Read `count` `f32`s from `ptr`.
     pub fn read_f32(&mut self, ptr: DevicePtr, count: usize) -> Result<Vec<f32>, MemError> {
-        let mut bytes = vec![0u8; count * 4];
-        self.read_bytes(ptr, &mut bytes)?;
-        Ok(bytes
+        let src = self.bytes_mut(ptr, 4 * count)?;
+        Ok(src
             .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
             .collect())
     }
 
     /// Write a slice of `f64`s at `ptr`.
     pub fn write_f64(&mut self, ptr: DevicePtr, src: &[f64]) -> Result<(), MemError> {
-        let bytes: Vec<u8> = src.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.write_bytes(ptr, &bytes)
+        let dst = self.bytes_mut(ptr, 8 * src.len())?;
+        for (d, v) in dst.chunks_exact_mut(8).zip(src) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
+        Ok(())
     }
 
     /// Read `count` `f64`s from `ptr`.
     pub fn read_f64(&mut self, ptr: DevicePtr, count: usize) -> Result<Vec<f64>, MemError> {
-        let mut bytes = vec![0u8; count * 8];
-        self.read_bytes(ptr, &mut bytes)?;
-        Ok(bytes
+        let src = self.bytes_mut(ptr, 8 * count)?;
+        Ok(src
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
             .collect())
@@ -349,17 +358,43 @@ impl DeviceMemory {
         Ok(())
     }
 
-    /// Device-to-device copy of `bytes` bytes.
+    /// Device-to-device copy of `bytes` bytes, with `memmove` semantics
+    /// when both ranges lie in one allocation.
     pub fn copy_within(
         &mut self,
         src: DevicePtr,
         dst: DevicePtr,
         bytes: u64,
     ) -> Result<(), MemError> {
-        let mut buf = vec![0u8; bytes as usize];
-        self.read_bytes(src, &mut buf)?;
-        self.write_bytes(dst, &buf)
+        let len = bytes as usize;
+        if src.alloc == dst.alloc {
+            let data = self.backing(src.alloc)?;
+            let (from, end) = span_in(src, len, data.len())?;
+            let (to, _) = span_in(dst, len, data.len())?;
+            data.copy_within(from..end, to);
+            return Ok(());
+        }
+        let [s, d] = self.allocs.get_disjoint_mut([&src.alloc, &dst.alloc]);
+        let s = s.ok_or(MemError::InvalidPointer)?.bytes();
+        let (from, end) = span_in(src, len, s.len())?;
+        let d = d.ok_or(MemError::InvalidPointer)?.bytes();
+        let (to, _) = span_in(dst, len, d.len())?;
+        d[to..to + len].copy_from_slice(&s[from..end]);
+        Ok(())
     }
+}
+
+/// The `[start, end)` byte range `len` bytes at `ptr` cover in an
+/// allocation of `alloc_len` bytes, or `OutOfBounds`.
+fn span_in(ptr: DevicePtr, len: usize, alloc_len: usize) -> Result<(usize, usize), MemError> {
+    let end = ptr.offset + len as u64;
+    if end > alloc_len as u64 {
+        return Err(MemError::OutOfBounds {
+            end,
+            len: alloc_len as u64,
+        });
+    }
+    Ok((ptr.offset as usize, end as usize))
 }
 
 #[cfg(test)]
@@ -486,5 +521,98 @@ mod tests {
         m.write_f32(a, &[1.0, 2.0]).unwrap();
         m.copy_within(a, b, 8).unwrap();
         assert_eq!(m.read_f32(b, 2).unwrap(), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn copy_within_one_allocation_is_a_memmove() {
+        let mut m = DeviceMemory::new(1 << 20);
+        let p = m.alloc(256).unwrap();
+        let bytes: Vec<u8> = (0..16).collect();
+        m.write_bytes(p, &bytes).unwrap();
+        // Forward overlap: [0, 12) onto [4, 16).
+        m.copy_within(p, p.add(4), 12).unwrap();
+        let mut out = [0u8; 16];
+        m.read_bytes(p, &mut out).unwrap();
+        assert_eq!(out, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        // Backward overlap: [4, 16) onto [0, 12).
+        m.copy_within(p.add(4), p, 12).unwrap();
+        m.read_bytes(p, &mut out).unwrap();
+        assert_eq!(out, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 8, 9, 10, 11]);
+        assert!(matches!(
+            m.copy_within(p, p.add(250), 8),
+            Err(MemError::OutOfBounds { end: 258, len: 256 })
+        ));
+    }
+
+    #[test]
+    fn copy_within_checks_both_allocations() {
+        let mut m = DeviceMemory::new(1 << 20);
+        let a = m.alloc(256).unwrap();
+        let b = m.alloc(256).unwrap();
+        let dead = m.alloc(256).unwrap();
+        m.dealloc(dead).unwrap();
+        assert_eq!(m.copy_within(dead, b, 8), Err(MemError::InvalidPointer));
+        assert_eq!(m.copy_within(a, dead, 8), Err(MemError::InvalidPointer));
+        assert!(matches!(
+            m.copy_within(a.add(252), b, 8),
+            Err(MemError::OutOfBounds { end: 260, .. })
+        ));
+        assert!(matches!(
+            m.copy_within(a, b.add(252), 8),
+            Err(MemError::OutOfBounds { end: 260, .. })
+        ));
+    }
+
+    #[test]
+    fn bytes_mut_borrows_in_place_and_checks_bounds() {
+        let mut m = DeviceMemory::new(1 << 20);
+        let p = m.alloc(256).unwrap();
+        m.bytes_mut(p.add(8), 4)
+            .unwrap()
+            .copy_from_slice(&[1, 2, 3, 4]);
+        let mut out = [0u8; 6];
+        m.read_bytes(p.add(7), &mut out).unwrap();
+        assert_eq!(out, [0, 1, 2, 3, 4, 0]);
+        assert_eq!(m.bytes_mut(p.add(256), 0).unwrap().len(), 0);
+        assert_eq!(
+            m.bytes_mut(p.add(200), 57).unwrap_err(),
+            MemError::OutOfBounds { end: 257, len: 256 }
+        );
+        m.dealloc(p).unwrap();
+        assert_eq!(m.bytes_mut(p, 4).unwrap_err(), MemError::InvalidPointer);
+    }
+
+    #[test]
+    fn float_roundtrips_are_bitwise() {
+        let mut m = DeviceMemory::new(1 << 20);
+        let p = m.alloc(256).unwrap();
+        let f32s = [
+            f32::from_bits(0x7fc0_0001), // quiet NaN with a payload
+            f32::from_bits(0xff80_0123), // signalling NaN, sign set
+            -0.0,
+            f32::from_bits(1), // smallest subnormal
+            -f32::MIN_POSITIVE / 2.0,
+            f32::INFINITY,
+        ];
+        m.write_f32(p, &f32s).unwrap();
+        let back = m.read_f32(p, f32s.len()).unwrap();
+        assert_eq!(
+            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            f32s.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        let f64s = [
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            f64::NEG_INFINITY,
+        ];
+        m.write_f64(p.add(64), &f64s).unwrap();
+        let back = m.read_f64(p.add(64), f64s.len()).unwrap();
+        assert_eq!(
+            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            f64s.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 }

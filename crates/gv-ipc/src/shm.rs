@@ -178,7 +178,7 @@ impl SharedMem {
     /// (`is_write`) or out of this segment without moving real data
     /// (timing-only ranks). This is the timed half of every access: the
     /// bounds check, the memcpy hold and the access record that
-    /// [`write`](Self::write) and [`read`](Self::read) also make.
+    /// [`write`](Self::write) and [`read_into`](Self::read_into) also make.
     pub fn touch(
         &self,
         ctx: &mut Ctx,
@@ -192,40 +192,26 @@ impl SharedMem {
         Ok(())
     }
 
-    /// Write `data` at `offset`, charging memcpy time. If corruption is
-    /// armed for this write, every stored byte is XORed with `0xFF` after
-    /// the copy (modelling a torn/garbled transfer) and a `fault`-category
-    /// instant is recorded on the tracer.
+    /// Write `data` at `offset`, charging memcpy time:
+    /// [`touch`](Self::touch), then [`store`](Self::store).
     pub fn write(&self, ctx: &mut Ctx, offset: u64, data: &[u8]) -> Result<(), ShmError> {
         self.touch(ctx, offset, data.len() as u64, true)?;
+        self.store(ctx, offset, data)
+    }
+
+    /// The untimed half of [`write`](Self::write): copy `data` in at
+    /// `offset` without a hold, for a caller that already charged the
+    /// copy with [`touch`](Self::touch). It never yields, so it may run
+    /// under another lock. Every store counts as one timed write for the
+    /// fault schedule: if corruption is armed for it, every stored byte is
+    /// XORed with `0xFF` after the copy (modelling a torn/garbled transfer)
+    /// and a `fault`-category instant is recorded on the tracer.
+    pub fn store(&self, ctx: &mut Ctx, offset: u64, data: &[u8]) -> Result<(), ShmError> {
+        self.poke(offset, data)?;
         let (seq, corrupt) = self.faults.lock().next_write();
-        let mut seg = self.seg.lock();
-        if let Some(backing) = seg.backing.clone() {
-            drop(seg);
-            if backing.is_functional() {
-                backing.store(offset, data);
-                if corrupt {
-                    let mut span = data.to_vec();
-                    for b in &mut span {
-                        *b ^= 0xFF;
-                    }
-                    backing.store(offset, &span);
-                }
-            }
-            if corrupt {
-                ctx.tracer()
-                    .fault(ctx.now(), format!("shm-corrupt:{}#{seq}", self.name));
-            }
-            return Ok(());
-        }
-        let size = seg.size as usize;
-        let store = seg.data.get_or_insert_with(|| vec![0u8; size]);
-        store[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         if corrupt {
-            for b in &mut store[offset as usize..offset as usize + data.len()] {
-                *b ^= 0xFF;
-            }
-            drop(seg);
+            let flipped: Vec<u8> = data.iter().map(|b| b ^ 0xFF).collect();
+            self.poke(offset, &flipped)?;
             ctx.tracer()
                 .fault(ctx.now(), format!("shm-corrupt:{}#{seq}", self.name));
         }
@@ -237,25 +223,22 @@ impl SharedMem {
         self.faults.lock().corrupt_at.push(nth);
     }
 
-    /// Read `len` bytes at `offset`, charging memcpy time. Untouched
-    /// regions read as zeroes.
-    pub fn read(&self, ctx: &mut Ctx, offset: u64, len: u64) -> Result<Vec<u8>, ShmError> {
-        self.touch(ctx, offset, len, false)?;
-        Ok(self.snapshot(offset, len))
-    }
-
-    /// Fill `out` from `offset`, charging memcpy time: [`read`](Self::read)
-    /// into a caller-owned buffer, so the bytes are copied once.
+    /// Fill `out` from `offset`, charging memcpy time:
+    /// [`touch`](Self::touch), then [`load`](Self::load), so the bytes are
+    /// copied once. Untouched regions read as zeroes.
     pub fn read_into(&self, ctx: &mut Ctx, offset: u64, out: &mut [u8]) -> Result<(), ShmError> {
         self.touch(ctx, offset, out.len() as u64, false)?;
-        self.load(offset, out);
-        Ok(())
+        self.load(offset, out)
     }
 
-    /// Untimed load shared by every read: backing if present, else the
-    /// private store. Untouched storage reads as zeroes and is never
-    /// materialized by a read.
-    fn load(&self, offset: u64, out: &mut [u8]) {
+    /// The untimed half of [`read_into`](Self::read_into): fill `out` from
+    /// `offset` without a hold or an access record, for a caller that
+    /// already charged the copy with [`touch`](Self::touch) (or for
+    /// verification). Backing if present, else the private store; never
+    /// yields. Untouched storage reads as zeroes and is never materialized
+    /// by a load.
+    pub fn load(&self, offset: u64, out: &mut [u8]) -> Result<(), ShmError> {
+        self.check(offset, out.len() as u64)?;
         let seg = self.seg.lock();
         if let Some(backing) = seg.backing.clone() {
             drop(seg);
@@ -264,7 +247,7 @@ impl SharedMem {
             } else {
                 out.fill(0);
             }
-            return;
+            return Ok(());
         }
         match &seg.data {
             Some(store) => {
@@ -272,22 +255,20 @@ impl SharedMem {
             }
             None => out.fill(0),
         }
-    }
-
-    fn snapshot(&self, offset: u64, len: u64) -> Vec<u8> {
-        let mut out = vec![0u8; len as usize];
-        self.load(offset, &mut out);
-        out
+        Ok(())
     }
 
     /// Zero-cost snapshot of the raw contents (verification plumbing, not a
     /// timed operation).
     pub fn peek(&self, offset: u64, len: u64) -> Result<Vec<u8>, ShmError> {
         self.check(offset, len)?;
-        Ok(self.snapshot(offset, len))
+        let mut out = vec![0u8; len as usize];
+        self.load(offset, &mut out)?;
+        Ok(out)
     }
 
-    /// Zero-cost raw write (seeding test fixtures).
+    /// Zero-cost raw write with no fault accounting (seeding test
+    /// fixtures; [`store`](Self::store) builds on it).
     pub fn poke(&self, offset: u64, data: &[u8]) -> Result<(), ShmError> {
         self.check(offset, data.len() as u64)?;
         let mut seg = self.seg.lock();
@@ -516,7 +497,8 @@ mod tests {
             // 1 MB at 1 GB/s = 1 ms (+1 µs latency), twice.
             let data = vec![7u8; 1_000_000];
             seg.write(ctx, 0, &data).unwrap();
-            let back = seg.read(ctx, 0, 1_000_000).unwrap();
+            let mut back = vec![0u8; 1_000_000];
+            seg.read_into(ctx, 0, &mut back).unwrap();
             assert_eq!(back, data);
             let t = ctx.now().as_millis_f64();
             assert!((t - 2.002).abs() < 1e-6, "t = {t}");
@@ -548,6 +530,35 @@ mod tests {
         // schedules stay attributable.
         assert_eq!(faults[0].label, "shm-corrupt:/cor#1");
         assert!(faults[0].label.contains("/cor"));
+    }
+
+    #[test]
+    fn store_and_load_are_untimed_and_store_counts_as_a_write() {
+        let mut sim = Simulation::new();
+        sim.tracer().set_enabled(true);
+        let tracer = sim.tracer().clone();
+        let reg = registry();
+        reg.arm_corrupt("/sl", 1);
+        let seg = reg.create("/sl", 16).unwrap();
+        sim.spawn("p", move |ctx| {
+            seg.store(ctx, 4, &[1, 2]).unwrap();
+            seg.store(ctx, 4, &[1, 2]).unwrap();
+            assert_eq!(ctx.now(), SimTime::ZERO, "store charged time");
+            let mut out = [0u8; 4];
+            seg.load(3, &mut out).unwrap();
+            assert_eq!(out, [0, 0xFE, 0xFD, 0]);
+            assert!(matches!(
+                seg.store(ctx, 15, &[0, 0]),
+                Err(ShmError::OutOfBounds { end: 17, .. })
+            ));
+            seg.load(12, &mut out).unwrap();
+            assert!(matches!(
+                seg.load(13, &mut out),
+                Err(ShmError::OutOfBounds { end: 17, .. })
+            ));
+        });
+        sim.run().unwrap();
+        assert_eq!(tracer.fault_events()[0].label, "shm-corrupt:/sl#1");
     }
 
     #[test]
@@ -622,7 +633,7 @@ mod tests {
     #[test]
     fn timing_only_read_charges_and_records_what_read_does() {
         let (read_end, read_records, _) = traced_access(|seg, ctx| {
-            seg.read(ctx, 1024, 2048).unwrap();
+            seg.read_into(ctx, 1024, &mut [0u8; 2048]).unwrap();
         });
         let (end, records, seg) = traced_access(|seg, ctx| {
             seg.touch(ctx, 1024, 2048, false).unwrap();
@@ -675,9 +686,12 @@ mod tests {
             let before = counting::allocations();
             seg.touch(ctx, 4096, 1 << 19, false).unwrap();
             assert_eq!(counting::allocations(), before, "touch allocated");
-            // `read` of the same span returns it as a fresh zeroed vector.
-            assert_eq!(seg.read(ctx, 4096, 1 << 19).unwrap(), vec![0; 1 << 19]);
-            assert!(counting::allocations() > before);
+            // Reading the same span into a caller's buffer zero-fills it.
+            let mut out = vec![1u8; 1 << 19];
+            let before = counting::allocations();
+            seg.read_into(ctx, 4096, &mut out).unwrap();
+            assert_eq!(counting::allocations(), before, "read_into allocated");
+            assert!(out.iter().all(|&b| b == 0));
         });
         sim.run().unwrap();
     }
@@ -714,7 +728,9 @@ mod tests {
             seg.write(ctx, 2, &[7, 8, 9]).unwrap();
             // The bytes landed in the backing itself — no private copy.
             assert_eq!(&probe.0.lock()[2..5], &[7, 8, 9]);
-            assert_eq!(seg.read(ctx, 2, 3).unwrap(), vec![7, 8, 9]);
+            let mut out = [0u8; 3];
+            seg.load(2, &mut out).unwrap();
+            assert_eq!(out, [7, 8, 9]);
             let mut out = [0u8; 4];
             seg.read_into(ctx, 1, &mut out).unwrap();
             assert_eq!(out, [0, 7, 8, 9]);

@@ -62,16 +62,22 @@ pub fn reference(a: &[f32], b: &[f32]) -> Vec<f32> {
 }
 
 /// Functional device body over the task's device region
-/// (layout: `[a(n) | b(n) | c(n)]` as f32).
+/// (layout: `[a(n) | b(n) | c(n)]` as f32): adds `a` and `b` straight into
+/// `c` in place, the same f32 adds as [`reference`].
 fn body(base: DevicePtr, n: usize) -> KernelBody {
     Arc::new(move |mem: &mut DeviceMemory| {
-        let a = mem.read_f32(base, n).expect("vecadd: read a");
-        let b = mem
-            .read_f32(base.add(4 * n as u64), n)
-            .expect("vecadd: read b");
-        let c = reference(&a, &b);
-        mem.write_f32(base.add(8 * n as u64), &c)
-            .expect("vecadd: write c");
+        let region = mem.bytes_mut(base, 12 * n).expect("vecadd: region");
+        let (ab, c) = region.split_at_mut(8 * n);
+        let (a, b) = ab.split_at(4 * n);
+        for ((c, a), b) in c
+            .chunks_exact_mut(4)
+            .zip(a.chunks_exact(4))
+            .zip(b.chunks_exact(4))
+        {
+            let sum = f32::from_le_bytes(a.try_into().expect("chunk of 4"))
+                + f32::from_le_bytes(b.try_into().expect("chunk of 4"));
+            c.copy_from_slice(&sum.to_le_bytes());
+        }
     })
 }
 
@@ -136,8 +142,11 @@ mod tests {
     #[test]
     fn functional_body_computes_sum() {
         let cfg = DeviceConfig::tesla_c2070_paper();
-        let a: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..64).map(|i| (i * 2) as f32).collect();
+        let mut a: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let mut b: Vec<f32> = (0..64).map(|i| (i * 2) as f32).collect();
+        // Signed zeros, subnormals and rounding must match bit for bit.
+        a[..4].copy_from_slice(&[-0.0, f32::from_bits(1), 0.1, f32::MAX]);
+        b[..4].copy_from_slice(&[-0.0, -f32::MIN_POSITIVE, 0.2, f32::MAX]);
         let task = functional_task(&cfg, &a, &b);
         assert!(task.is_functional());
 
@@ -148,7 +157,8 @@ mod tests {
             (k.body.unwrap())(&mut mem);
         }
         let out = mem.read_f32(base.add(task.d2h_offset), 64).unwrap();
-        assert_eq!(out, reference(&a, &b));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&reference(&a, &b)));
     }
 
     #[test]

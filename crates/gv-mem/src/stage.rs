@@ -23,6 +23,10 @@ use crate::config::Span;
 /// D2H copy). Whether real bytes move is decided by the pinned buffer:
 /// functional buffers transfer the span's contents, opaque buffers charge
 /// timing only (the shm side is then only touched, never stored to).
+///
+/// The hold is charged first ([`SharedMem::touch`]); the bytes then move
+/// in one memcpy straight between the two storages, under both locks and
+/// with no yield in between.
 pub fn stage_span(
     ctx: &mut Ctx,
     shm: &SharedMem,
@@ -33,20 +37,15 @@ pub fn stage_span(
     if span.len == 0 {
         return Ok(());
     }
-    if h2d {
-        if pinned.is_functional() {
-            let data = shm.read(ctx, span.offset, span.len)?;
-            pinned.fill_at(span.offset, &data);
-        } else {
-            shm.touch(ctx, span.offset, span.len, false)?;
-        }
+    shm.touch(ctx, span.offset, span.len, !h2d)?;
+    let copied = if h2d {
+        pinned.with_range_mut(span.offset, span.len, |dst| shm.load(span.offset, dst))
     } else {
-        match pinned.read_range(span.offset, span.len) {
-            Some(data) => shm.write(ctx, span.offset, &data)?,
-            None => shm.touch(ctx, span.offset, span.len, true)?,
-        }
-    }
-    Ok(())
+        pinned.with_range(span.offset, span.len, |src| {
+            shm.store(ctx, span.offset, src)
+        })
+    };
+    copied.unwrap_or(Ok(()))
 }
 
 /// Emit the [`AnalysisRecord::StageChunk`] describing one staged span.
@@ -115,6 +114,39 @@ mod tests {
     use gv_ipc::{NodeConfig, ShmRegistry};
     use gv_sim::Simulation;
 
+    /// Counts each thread's heap allocations, so a test can show that a
+    /// code path allocates nothing.
+    mod counting {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        struct Counting;
+
+        // SAFETY: every call is forwarded unchanged to the system allocator.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: Counting = Counting;
+
+        /// Allocations made so far on the calling thread.
+        pub fn allocations() -> u64 {
+            ALLOCATIONS.with(Cell::get)
+        }
+    }
+
     #[test]
     fn functional_spans_roundtrip_through_pinned() {
         let node = NodeConfig::test_tiny();
@@ -130,7 +162,7 @@ mod tests {
             for s in &spans {
                 stage_span(ctx, &shm, &pinned, *s, true).unwrap();
             }
-            assert_eq!(pinned.read_range(0, 48).unwrap(), payload);
+            assert_eq!(pinned.to_bytes().unwrap()[..48], payload);
             // Now drain back out through a second segment.
             let out = reg.create("out", 64).unwrap();
             for s in &spans {
@@ -139,6 +171,60 @@ mod tests {
             assert_eq!(out.peek(0, 48).unwrap(), payload);
         });
         sim.run().unwrap();
+    }
+
+    #[test]
+    fn functional_spans_allocate_nothing_in_either_direction() {
+        let node = NodeConfig::test_tiny();
+        let reg = ShmRegistry::new(&node);
+        let shm = reg.create("seg", 1 << 20).unwrap();
+        let mut sim = Simulation::new();
+        sim.spawn("p", move |ctx| {
+            let pinned = HostBuffer::zeroed(1 << 20, true);
+            let spans = PipelineConfig::chunked(4, 1).plan(1 << 20);
+            // The first pass materializes the segment and sizes the
+            // engine's timer queue.
+            for h2d in [false, true] {
+                stage_span(ctx, &shm, &pinned, spans[0], h2d).unwrap();
+            }
+            for h2d in [true, false] {
+                let before = counting::allocations();
+                for s in &spans {
+                    stage_span(ctx, &shm, &pinned, *s, h2d).unwrap();
+                }
+                assert_eq!(counting::allocations(), before, "h2d={h2d} allocated");
+            }
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn functional_output_spans_keep_the_write_fault_schedule() {
+        let node = NodeConfig::test_tiny();
+        let reg = ShmRegistry::new(&node);
+        // Writes 0..4 are this transfer's four spans; the third is armed.
+        reg.arm_corrupt("out", 2);
+        let out = reg.create("out", 64).unwrap();
+        let probe = out.clone();
+        let mut sim = Simulation::new();
+        sim.tracer().set_enabled(true);
+        let tracer = sim.tracer().clone();
+        sim.spawn("p", move |ctx| {
+            let pinned = HostBuffer::from_bytes(vec![0x0F; 64], true);
+            for s in PipelineConfig::chunked(4, 1).plan(64) {
+                stage_span(ctx, &out, &pinned, s, false).unwrap();
+            }
+            // A timing-only output span is only touched: no write counted.
+            let opaque = HostBuffer::opaque(64, true);
+            stage_span(ctx, &out, &opaque, Span { offset: 0, len: 64 }, false).unwrap();
+        });
+        sim.run().unwrap();
+        let got = probe.peek(0, 64).unwrap();
+        assert!(got[..32].iter().chain(&got[48..]).all(|&b| b == 0x0F));
+        assert!(got[32..48].iter().all(|&b| b == 0xF0));
+        let faults = tracer.fault_events();
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].label, "shm-corrupt:out#2");
     }
 
     #[test]
