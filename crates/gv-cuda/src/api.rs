@@ -220,7 +220,7 @@ impl CudaContext {
                 capacity: src.len(),
             });
         }
-        let data = src.with_range(src_offset, bytes, |b| Arc::new(b.to_vec()));
+        let data = src.with_range(src_offset, bytes, |b| self.cuda.device.snapshot(b));
         let h = self.cuda.device.submit(
             ctx,
             self.gctx,
@@ -265,7 +265,7 @@ impl CudaContext {
             }
             let data = it
                 .src
-                .with_range(it.src_offset, it.bytes, |b| Arc::new(b.to_vec()));
+                .with_range(it.src_offset, it.bytes, |b| self.cuda.device.snapshot(b));
             cmds.push((
                 it.stream,
                 CommandKind::CopyH2D {
@@ -670,6 +670,52 @@ mod tests {
                 .memcpy_h2d_async_at(ctx, s, &hin, 12, dbuf, 8)
                 .unwrap_err();
             assert!(matches!(err, CudaError::HostBufferTooSmall { .. }));
+            cuda.device().shutdown(ctx);
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn refilling_the_source_after_submit_does_not_change_what_lands() {
+        let (mut sim, cuda) = setup();
+        sim.spawn("p", move |ctx| {
+            let cc = cuda.create_context(ctx, "p");
+            let s = cc.stream_create();
+            let dbuf = cc.malloc(24).unwrap();
+            let hin = HostBuffer::from_bytes((1..=8).collect(), true);
+            let landed = |ctx: &mut Ctx, at: u64| {
+                cc.stream_synchronize(ctx, s);
+                let mut out = vec![0u8; 8];
+                cuda.device()
+                    .with_memory(|m| m.read_bytes(dbuf.add(at), &mut out))
+                    .unwrap();
+                out
+            };
+            // Refill while the copy is still in flight: the copy lands the
+            // bytes the source held at submit.
+            cc.memcpy_h2d_async_at(ctx, s, &hin, 0, dbuf, 8).unwrap();
+            hin.fill_at(0, &[0xee; 8]);
+            assert_eq!(landed(ctx, 0), (1..=8).collect::<Vec<u8>>());
+            // The next copy reuses the landed snapshot's buffer.
+            cc.memcpy_h2d_async_at(ctx, s, &hin, 0, dbuf.add(8), 8)
+                .unwrap();
+            hin.fill_at(0, &[0x11; 8]);
+            assert_eq!(landed(ctx, 8), vec![0xee; 8]);
+            // So does a batched copy.
+            cc.memcpy_h2d_async_batch(
+                ctx,
+                &[BatchH2d {
+                    stream: s,
+                    src: &hin,
+                    src_offset: 0,
+                    dst: dbuf.add(16),
+                    bytes: 8,
+                }],
+            )
+            .unwrap();
+            hin.fill_at(0, &[0x22; 8]);
+            assert_eq!(landed(ctx, 16), vec![0x11; 8]);
+            assert_eq!(landed(ctx, 0), (1..=8).collect::<Vec<u8>>());
             cuda.device().shutdown(ctx);
         });
         sim.run().unwrap();

@@ -12,7 +12,9 @@ use gv_sim::{Ctx, Pid, SimTime, Simulation};
 use parking_lot::Mutex;
 
 use crate::config::{ComputeMode, DeviceConfig};
-use crate::engines::{CommandHandle, CommandKind, DeviceStats, GpuCtxId, SchedState, StreamId};
+use crate::engines::{
+    CommandHandle, CommandKind, DeviceStats, GpuCtxId, HostData, SchedState, Snapshots, StreamId,
+};
 use crate::memory::{DeviceMemory, DevicePtr, MemError};
 
 /// Errors surfaced when submitting a command.
@@ -55,6 +57,8 @@ impl std::error::Error for CtxError {}
 pub(crate) struct DeviceShared {
     pub(crate) config: DeviceConfig,
     pub(crate) memory: Mutex<DeviceMemory>,
+    /// Recycled H2D snapshot buffers (a leaf lock).
+    pub(crate) snapshots: Mutex<Snapshots>,
     pub(crate) sched: Mutex<SchedState>,
     pub(crate) sched_pid: Mutex<Option<Pid>>,
     /// Tracer ordinal of this device (disambiguates analysis records).
@@ -78,6 +82,7 @@ impl GpuDevice {
         sched.dev_ord = ord;
         let shared = Arc::new(DeviceShared {
             memory: Mutex::new(DeviceMemory::new(config.global_mem_bytes)),
+            snapshots: Mutex::new(Snapshots::default()),
             sched: Mutex::new(sched),
             sched_pid: Mutex::new(None),
             config,
@@ -177,6 +182,14 @@ impl GpuDevice {
     /// outputs outside the timed path (tests and harness plumbing).
     pub fn with_memory<R>(&self, f: impl FnOnce(&mut DeviceMemory) -> R) -> R {
         f(&mut self.shared.memory.lock())
+    }
+
+    /// Copy `bytes` into a snapshot for a functional H2D command: what the
+    /// command lands is what the source held now, whatever the source holds
+    /// by then. The buffer is one an earlier H2D landed, when one is free,
+    /// so steady-state copies allocate nothing.
+    pub fn snapshot(&self, bytes: &[u8]) -> HostData {
+        self.shared.snapshots.lock().fill(bytes)
     }
 
     /// Arm a deterministic OOM fault at the `nth` upcoming device
@@ -310,7 +323,13 @@ fn scheduler_main(ctx: &mut Ctx, shared: Arc<DeviceShared>) {
         let tracer = ctx.tracer().clone();
         let (opened, next) = {
             let mut sched = shared.sched.lock();
-            sched.step(&shared.config, &shared.memory, &tracer, now)
+            sched.step(
+                &shared.config,
+                &shared.memory,
+                &shared.snapshots,
+                &tracer,
+                now,
+            )
         };
         for gate in opened {
             gate.open(ctx);

@@ -43,6 +43,42 @@ pub type HostData = Arc<Vec<u8>>;
 /// A host destination buffer for functional D2H copies.
 pub type HostSink = Arc<Mutex<Vec<u8>>>;
 
+/// Recycled H2D snapshot buffers. A functional H2D copy lands what its
+/// source held at submit, so submit copies the source into a snapshot;
+/// [`land`] hands the snapshot back here once its bytes are written, and
+/// the next submit refills it instead of allocating. The free list plus the
+/// buffers lent out never exceed the most ever lent at once.
+#[derive(Default)]
+pub(crate) struct Snapshots {
+    free: Vec<HostData>,
+    /// Snapshots handed out by `fill` and not yet back.
+    lent: usize,
+}
+
+impl Snapshots {
+    /// A snapshot of `bytes`, in a recycled buffer when one is free.
+    pub(crate) fn fill(&mut self, bytes: &[u8]) -> HostData {
+        self.lent += 1;
+        match self.free.pop() {
+            Some(mut data) => {
+                let buf = Arc::get_mut(&mut data).expect("free snapshots are unshared");
+                buf.clear();
+                buf.extend_from_slice(bytes);
+                data
+            }
+            None => Arc::new(bytes.to_vec()),
+        }
+    }
+
+    /// Take back a landed snapshot unless it is shared or none is out.
+    fn recycle(&mut self, mut data: HostData) {
+        if self.lent > 0 && Arc::get_mut(&mut data).is_some() {
+            self.lent -= 1;
+            self.free.push(data);
+        }
+    }
+}
+
 /// The operation a command performs.
 pub enum CommandKind {
     /// Host-to-device copy.
@@ -389,6 +425,7 @@ impl SchedState {
         &mut self,
         cfg: &DeviceConfig,
         memory: &Mutex<DeviceMemory>,
+        snapshots: &Mutex<Snapshots>,
         tracer: &Tracer,
         now: SimTime,
     ) -> (Vec<Gate>, Option<SimTime>) {
@@ -409,11 +446,11 @@ impl SchedState {
         for dir in [true, false] {
             let engine = if dir { &mut self.h2d } else { &mut self.d2h };
             if engine.active.is_some() && engine.busy_until <= now {
-                let cmd = engine.active.take().expect("checked above");
+                let mut cmd = engine.active.take().expect("checked above");
                 engine.served += 1;
                 engine.last_fuse = cmd.fuse;
                 engine.last_done = now;
-                land(memory, &cmd.kind);
+                land(memory, snapshots, &mut cmd.kind);
                 match &cmd.kind {
                     CommandKind::CopyH2D { .. } => self.stats.h2d_transfers += 1,
                     CommandKind::CopyD2H { .. } => self.stats.d2h_transfers += 1,
@@ -717,21 +754,20 @@ impl SchedState {
 }
 
 /// Move a completed DMA command's functional bytes, one copy per
-/// transfer: H2D lands its submit-time snapshot in device memory, D2D
-/// copies device to device, and D2H reads device bytes straight into the
-/// sink (grown to cover the written range if needed). Timing-only
-/// commands move nothing.
-fn land(memory: &Mutex<DeviceMemory>, kind: &CommandKind) {
+/// transfer: H2D lands its submit-time snapshot in device memory and hands
+/// the snapshot back to `snapshots`, D2D copies device to device, and D2H
+/// reads device bytes straight into the sink (grown to cover the written
+/// range if needed). Timing-only commands move nothing.
+fn land(memory: &Mutex<DeviceMemory>, snapshots: &Mutex<Snapshots>, kind: &mut CommandKind) {
     match kind {
-        CommandKind::CopyH2D {
-            dst,
-            data: Some(data),
-            ..
-        } => {
-            memory
-                .lock()
-                .write_bytes(*dst, data)
-                .expect("validated at submit");
+        CommandKind::CopyH2D { dst, data, .. } => {
+            if let Some(data) = data.take() {
+                memory
+                    .lock()
+                    .write_bytes(*dst, &data)
+                    .expect("validated at submit");
+                snapshots.lock().recycle(data);
+            }
         }
         CommandKind::CopyD2D {
             src,
@@ -818,10 +854,11 @@ mod tests {
             sink_offset,
             pinned: true,
         };
-        let (first, second) = (d2h(0, 0), d2h(1024, 4096));
-        land(&memory, &first);
+        let snapshots = Mutex::new(Snapshots::default());
+        let (mut first, mut second) = (d2h(0, 0), d2h(1024, 4096));
+        land(&memory, &snapshots, &mut first);
         let before = counting::allocations();
-        land(&memory, &second);
+        land(&memory, &snapshots, &mut second);
         assert_eq!(counting::allocations(), before, "D2H completion allocated");
         let got = sink.lock();
         assert_eq!(got[..1024], payload[..1024]);
@@ -832,7 +869,8 @@ mod tests {
         let short: HostSink = Arc::new(Mutex::new(Vec::new()));
         land(
             &memory,
-            &CommandKind::CopyD2H {
+            &snapshots,
+            &mut CommandKind::CopyD2H {
                 src,
                 bytes: 16,
                 sink: Some(Arc::clone(&short)),
@@ -841,6 +879,38 @@ mod tests {
             },
         );
         assert_eq!(short.lock()[8..], payload[..16]);
+    }
+
+    #[test]
+    fn h2d_snapshots_are_recycled_without_allocating() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let dst = mem.alloc(4096).unwrap();
+        let memory = Mutex::new(mem);
+        let snapshots = Mutex::new(Snapshots::default());
+        let h2d = |payload: &[u8]| CommandKind::CopyH2D {
+            dst,
+            bytes: payload.len() as u64,
+            data: Some(snapshots.lock().fill(payload)),
+            pinned: true,
+        };
+        let payload = |seed: u8| -> Vec<u8> { (0..4096).map(|i| (i as u8) ^ seed).collect() };
+        // Warm-up: two copies in flight at once.
+        let (mut first, mut second) = (h2d(&payload(1)), h2d(&payload(2)));
+        land(&memory, &snapshots, &mut first);
+        land(&memory, &snapshots, &mut second);
+        let inputs: Vec<Vec<u8>> = (3..13).map(payload).collect();
+        let before = counting::allocations();
+        for input in &inputs {
+            let mut copy = h2d(input);
+            land(&memory, &snapshots, &mut copy);
+        }
+        assert_eq!(counting::allocations(), before, "H2D snapshot allocated");
+        let mut landed = vec![0u8; 4096];
+        memory.lock().read_bytes(dst, &mut landed).unwrap();
+        assert_eq!(landed, payload(12));
+        // The list holds no more buffers than were ever in flight at once.
+        assert_eq!(snapshots.lock().free.len(), 2);
+        assert_eq!(snapshots.lock().lent, 0);
     }
 
     #[test]
