@@ -1,35 +1,31 @@
 //! The discrete-event engine.
 //!
-//! A [`Simulation`] owns a set of coroutine-style *processes*, each backed by
-//! an OS thread taken from a process-wide pool of recycled workers. Exactly
-//! one thread is ever runnable at a time. A process runs until it
-//! performs a *yielding* operation (`hold`, `park`,
-//! `park_timeout`, or returning); it then takes the scheduling step itself
-//! (`State::dispatch`, under the state lock) and hands control straight to
-//! the successor that step picks, through that process's one-shot resume
-//! cell, before sleeping on its own cell. When the step picks the yielding
-//! process again it just carries on, with no thread switch at all. The
-//! thread that called [`Simulation::run_until`] takes the first step and then
-//! sleeps until a step ends the run (completion, horizon, deadlock) or a
-//! process panics. Because every step pops the same FIFO run queue and
-//! `(time, sequence)`-ordered timer heap in the same order, whichever thread
-//! runs it, runs are fully deterministic for a fixed program.
+//! A [`Simulation`] owns a set of *processes*, each a stackful coroutine
+//! (`crate::coro`) with a stack of its own, all run by one run loop on one
+//! engine thread taken from a process-wide pool. The run loop takes every
+//! scheduling step (`State::dispatch`, under the state lock) and resumes
+//! the process that step picks. A process runs until it performs a
+//! *yielding* operation (`hold`, `park`, `park_timeout`) or returns: a
+//! yield records its blocking operation under the lock, drops the lock and
+//! switches back to the run loop; a return marks its slot finished. Only
+//! one process ever runs at a time, and because every step pops the same
+//! FIFO run queue and `(time, sequence)`-ordered timer heap in the same
+//! order, runs are fully deterministic for a fixed program.
 //!
 //! Non-yielding operations (`unpark`, `spawn`, channel pushes, …) mutate the
 //! shared kernel state directly under a mutex; this is race-free because only
-//! the single running process (or the run loop, before the first step and
-//! after the last) ever touches it.
+//! the single running process (or the run loop, between two resumes) ever
+//! touches it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
-use std::thread::Thread;
+use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::clock::VClock;
+use crate::coro::{self, Coroutine};
 use crate::oracle::{Candidate, DecisionKind, OracleHandle};
 use crate::pool;
 use crate::process::Ctx;
@@ -239,7 +235,7 @@ pub struct Summary {
 pub(crate) enum ProcState {
     /// In the run queue (wake reason stored alongside).
     Ready,
-    /// Currently executing on its thread.
+    /// Currently executing.
     Running,
     /// Blocked awaiting an unpark or armed timer.
     Parked,
@@ -249,109 +245,15 @@ pub(crate) enum ProcState {
     Finished,
 }
 
-/// The words a [`ResumeCell`] carries. `EMPTY`: nothing pending; one per
-/// [`WakeReason`]; `STOP`: teardown for a process, "the run is over" for
-/// the run loop's cell.
-const EMPTY: u32 = 0;
-const SPAWN: u32 = 1;
-const TIMER: u32 = 2;
-const UNPARK: u32 = 3;
-const STOP: u32 = 4;
+/// The words a resume hands a suspended process: one per [`WakeReason`],
+/// and `STOP` for teardown.
+const SPAWN: usize = 1;
+const TIMER: usize = 2;
+const UNPARK: usize = 3;
+const STOP: usize = 4;
 
-/// One-shot resume cell: the word a sleeping thread waits on plus the
-/// thread to unpark when it is filled. Every process has one, and so does
-/// the run loop. Filled at most once per sleep, by the thread that took the
-/// scheduling step (or by teardown).
-pub(crate) struct ResumeCell {
-    word: AtomicU32,
-    thread: OnceLock<Thread>,
-}
-
-impl ResumeCell {
-    fn new() -> Self {
-        ResumeCell {
-            word: AtomicU32::new(EMPTY),
-            thread: OnceLock::new(),
-        }
-    }
-
-    fn set_thread(&self, thread: Thread) {
-        self.thread.set(thread).expect("resume cell already bound");
-    }
-
-    fn fill(&self, word: u32) {
-        self.word.store(word, Ordering::Release);
-        self.thread
-            .get()
-            .expect("resume cell has no thread")
-            .unpark();
-    }
-
-    fn resume(&self, reason: WakeReason) {
-        self.fill(match reason {
-            WakeReason::Spawn => SPAWN,
-            WakeReason::Timer => TIMER,
-            WakeReason::Unpark => UNPARK,
-        });
-    }
-
-    fn stop(&self) {
-        self.fill(STOP);
-    }
-
-    /// Sleep until the cell is filled and empty it. `None` is a stop.
-    /// `park` may return spuriously or on a stale token, hence the loop.
-    fn wait(&self) -> Option<WakeReason> {
-        loop {
-            match self.word.swap(EMPTY, Ordering::Acquire) {
-                EMPTY => std::thread::park(),
-                SPAWN => return Some(WakeReason::Spawn),
-                TIMER => return Some(WakeReason::Timer),
-                UNPARK => return Some(WakeReason::Unpark),
-                _ => return None,
-            }
-        }
-    }
-}
-
-/// Set by a process's worker thread once the process is gone: its closure
-/// and `Ctx` dropped, its exit protocol done. Teardown waits on it; the
-/// worker then serves another process, so there is no thread to join.
-struct Latch {
-    done: std::sync::Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Self {
-        Latch {
-            done: std::sync::Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn set(&self) {
-        *self.done.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = self.cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Sets its latch when dropped, so a worker reports the process gone even
-/// if the exit protocol itself unwinds.
-struct SetOnDrop(Arc<Latch>);
-
-impl Drop for SetOnDrop {
-    fn drop(&mut self) {
-        self.0.set();
-    }
-}
+/// A process body not yet started.
+type Body = Box<dyn FnOnce(&mut Ctx) + Send>;
 
 pub(crate) struct Slot {
     pub(crate) name: String,
@@ -360,11 +262,9 @@ pub(crate) struct Slot {
     pub(crate) token: bool,
     /// Wake generation; bumped on every wake so stale timers are discarded.
     pub(crate) gen: u64,
-    /// The cell this process sleeps on while others run.
-    cell: Arc<ResumeCell>,
-    /// Held until the process exits (nobody waits on it then) or until
-    /// teardown waits on it.
-    done: Option<Arc<Latch>>,
+    /// The closure, until the first resume builds the process's frame
+    /// around it (or teardown drops it, if that never happens).
+    body: Option<Body>,
     /// Vector clock for happens-before analysis (maintained only while the
     /// tracer's analysis flag is on; empty otherwise).
     pub(crate) clock: VClock,
@@ -413,8 +313,7 @@ pub(crate) struct State {
     /// The `run_until` horizon.
     limit: SimTime,
     oracle: Option<OracleHandle>,
-    /// How the run ended; set by the step (or panic) that ended it, taken
-    /// by the run loop.
+    /// Set by a panicking process, taken by the run loop: the run is over.
     outcome: Option<Result<bool, SimError>>,
 }
 
@@ -496,8 +395,8 @@ impl State {
         }
     }
 
-    /// The scheduling step, taken by the process that yields or exits (or
-    /// by the run loop for the first one): pop the run queue, or advance the
+    /// The scheduling step, taken by the run loop after every yield or
+    /// exit (and once to start the run): pop the run queue, or advance the
     /// clock to the next valid timer and pop that, until a process is
     /// chosen or the run is over.
     fn dispatch(&mut self, tracer: &Tracer) -> Step {
@@ -685,8 +584,6 @@ pub(crate) enum YieldOp {
 /// Shared between the engine, every process `Ctx`, and all sync primitives.
 pub struct KernelShared {
     pub(crate) state: Mutex<State>,
-    /// The cell the `run_until` thread sleeps on while processes run.
-    run_loop: ResumeCell,
     pub(crate) tracer: Tracer,
 }
 
@@ -696,30 +593,11 @@ impl KernelShared {
         self.state.lock().now
     }
 
-    /// Carry out a scheduling step: resume the chosen process, or record
-    /// how the run ended and wake the run loop. The state lock is released
-    /// before anyone is woken, so the woken thread never waits on it.
-    fn hand_off(&self, mut st: MutexGuard<'_, State>, step: Step) {
-        match step {
-            Step::Run(pid, reason) => {
-                let cell = Arc::clone(&st.slots[pid.index()].cell);
-                drop(st);
-                cell.resume(reason);
-            }
-            Step::End(outcome) => {
-                st.outcome = Some(outcome);
-                drop(st);
-                self.run_loop.stop();
-            }
-        }
-    }
-
-    /// Yield the running process `pid`: record `op`, take the scheduling
-    /// step, and hand off to the successor; sleep on `cell` until some
-    /// later step resumes `pid`. If the step picks `pid` itself, return at
-    /// once without a thread switch. Unwinds with [`Terminated`] when the
-    /// run ends while `pid` is asleep.
-    pub(crate) fn yield_process(&self, pid: Pid, cell: &ResumeCell, op: YieldOp) -> WakeReason {
+    /// Yield the running process `pid`: record `op` under the state lock,
+    /// then switch to the run loop, which takes the scheduling step. Returns
+    /// when a later step resumes `pid`; unwinds with [`Terminated`] when
+    /// teardown resumes it instead.
+    pub(crate) fn yield_process(&self, pid: Pid, op: YieldOp) -> WakeReason {
         let mut st = self.state.lock();
         if st.terminating {
             // Only reachable from a process being torn down (a destructor,
@@ -729,50 +607,38 @@ impl KernelShared {
             panic::panic_any(Terminated);
         }
         st.apply(pid, op);
-        match st.dispatch(&self.tracer) {
-            Step::Run(next, reason) if next == pid => return reason,
-            step => self.hand_off(st, step),
-        }
-        match cell.wait() {
-            Some(reason) => reason,
-            None => panic::panic_any(Terminated),
+        drop(st);
+        match coro::suspend() {
+            SPAWN => WakeReason::Spawn,
+            TIMER => WakeReason::Timer,
+            UNPARK => WakeReason::Unpark,
+            _ => panic::panic_any(Terminated),
         }
     }
 
-    /// Exit protocol for a process whose closure returned. Its closure and
-    /// `Ctx` are already dropped, and its worker is already back in the
-    /// pool. Mark it finished, drop its latch (no teardown will wait on a
-    /// finished process), and take the next step. The hand-off is the last
-    /// touch of shared state; after it another process (or the run loop)
-    /// owns the kernel.
+    /// Exit protocol for a process whose closure returned (its closure and
+    /// `Ctx` already dropped): mark it finished. The run loop reclaims its
+    /// stack and takes the next step.
     fn exit(&self, pid: Pid) {
         let mut st = self.state.lock();
-        let slot = &mut st.slots[pid.index()];
-        slot.state = ProcState::Finished;
-        slot.done = None;
+        st.slots[pid.index()].state = ProcState::Finished;
         st.live -= 1;
-        let step = st.dispatch(&self.tracer);
-        self.hand_off(st, step);
     }
 
-    /// Panic protocol: the run ends with [`SimError::ProcessPanicked`]. No
-    /// step is taken and no process is resumed; the run loop wakes and
-    /// tears down every other process. This process's latch stays in its
-    /// slot so teardown waits for it.
+    /// Panic protocol: mark the process finished and record
+    /// [`SimError::ProcessPanicked`] as the run's outcome. The run loop
+    /// takes no further step; it tears down every other process.
     fn panicked(&self, pid: Pid, message: String) {
         let mut st = self.state.lock();
         let slot = &mut st.slots[pid.index()];
         slot.state = ProcState::Finished;
         let name = slot.name.clone();
         st.live -= 1;
-        self.hand_off(
-            st,
-            Step::End(Err(SimError::ProcessPanicked { name, message })),
-        );
+        st.outcome = Some(Err(SimError::ProcessPanicked { name, message }));
     }
 
     pub(crate) fn spawn_process<F>(
-        self: &Arc<Self>,
+        &self,
         name: &str,
         start_at: Option<SimTime>,
         parent: Option<Pid>,
@@ -781,8 +647,7 @@ impl KernelShared {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        let cell = Arc::new(ResumeCell::new());
-        let latch = Arc::new(Latch::new());
+        let body: Body = Box::new(f);
         let analysis = self.tracer.analysis_enabled();
         let mut state = self.state.lock();
         let pid = Pid(state.slots.len() as u32);
@@ -802,8 +667,7 @@ impl KernelShared {
             state: ProcState::Parked,
             token: false,
             gen: 0,
-            cell: Arc::clone(&cell),
-            done: Some(Arc::clone(&latch)),
+            body: Some(body),
             clock,
             wait: None,
         });
@@ -815,53 +679,100 @@ impl KernelShared {
                 state.arm_timer(pid, t);
             }
         }
-        drop(state);
-
-        install_teardown_panic_filter();
-        let shared = Arc::clone(self);
-        let body_cell = Arc::clone(&cell);
-        let thread = pool::run(
-            name,
-            Box::new(move |worker| {
-                // Declared first, so the latch is set last: after the
-                // closure, its `Ctx` and this kernel handle are gone and the
-                // worker is back in the pool.
-                let _done = SetOnDrop(latch);
-                let (shared, cell, worker) = (shared, body_cell, worker);
-                // Wait for the first resume; a stop before it means the
-                // simulation was torn down before this process ever ran.
-                if cell.wait().is_none() {
-                    return;
-                }
-                let ctx = Ctx::new(Arc::clone(&shared), pid, cell);
-                // The closure and the `Ctx` are both dropped inside the
-                // guard, before the process leaves the schedule.
-                let result = panic::catch_unwind(AssertUnwindSafe(move || {
-                    let mut ctx = ctx;
-                    (f)(&mut ctx);
-                }));
-                match result {
-                    // The worker goes idle before the hand-off, so it is
-                    // back in the pool by the time the run can end, and a
-                    // spawn in the very next step can reuse it.
-                    Ok(()) => {
-                        drop(worker);
-                        shared.exit(pid)
-                    }
-                    // Orderly teardown: vanish without reporting.
-                    Err(payload) if payload.is::<Terminated>() => {}
-                    Err(payload) => shared.panicked(pid, panic_message(&*payload)),
-                }
-            }),
-        );
-        // Nothing can resume the new process before its spawner yields, so
-        // binding its cell here is in time.
-        cell.set_thread(thread);
         pid
+    }
+
+    /// Take the closures of processes that never started, for the caller
+    /// to drop outside the state lock (their destructors may take it).
+    fn take_unstarted(&self) -> Vec<Body> {
+        let mut st = self.state.lock();
+        st.slots.iter_mut().filter_map(|s| s.body.take()).collect()
     }
 }
 
-/// Sentinel panic payload used to unwind process threads during teardown.
+/// The first Rust frame of every process, on the process's own stack: run
+/// the closure under the unwind guard, then report how it ended.
+fn process_main(shared: Arc<KernelShared>, pid: Pid, f: Body) {
+    let ctx = Ctx::new(Arc::clone(&shared), pid);
+    // The closure and the `Ctx` are both dropped inside the guard, before
+    // the process leaves the schedule.
+    let result = panic::catch_unwind(AssertUnwindSafe(move || {
+        let mut ctx = ctx;
+        f(&mut ctx);
+    }));
+    match result {
+        Ok(()) => shared.exit(pid),
+        // Orderly teardown: vanish without reporting.
+        Err(payload) if payload.is::<Terminated>() => {}
+        Err(payload) => shared.panicked(pid, panic_message(&*payload)),
+    }
+}
+
+/// The run loop, on an engine thread: every scheduling step is taken here,
+/// and every process runs as a coroutine resumed from here. Returns how
+/// the run ended, with the coroutines of the processes still unfinished.
+fn run_loop(shared: &Arc<KernelShared>) -> (Result<bool, SimError>, Vec<Option<Coroutine>>) {
+    let mut procs: Vec<Option<Coroutine>> = Vec::new();
+    let outcome = loop {
+        let mut st = shared.state.lock();
+        if let Some(outcome) = st.outcome.take() {
+            break outcome;
+        }
+        let (pid, reason) = match st.dispatch(&shared.tracer) {
+            Step::Run(pid, reason) => (pid, reason),
+            Step::End(outcome) => break outcome,
+        };
+        let i = pid.index();
+        if procs.len() <= i {
+            procs.resize_with(st.slots.len(), || None);
+        }
+        let proc = match &mut procs[i] {
+            Some(proc) => proc,
+            unstarted => {
+                let f = st.slots[i]
+                    .body
+                    .take()
+                    .expect("unstarted process has its body");
+                let shared = Arc::clone(shared);
+                unstarted.insert(Coroutine::new(Box::new(move || {
+                    process_main(shared, pid, f)
+                })))
+            }
+        };
+        drop(st);
+        let word = match reason {
+            WakeReason::Spawn => SPAWN,
+            WakeReason::Timer => TIMER,
+            WakeReason::Unpark => UNPARK,
+        };
+        if proc.resume(word) {
+            procs[i] = None;
+        }
+    };
+    (outcome, procs)
+}
+
+/// Teardown protocol, for horizon stops, deadlocks and panics: mark every
+/// unfinished process finished, resume each started one with the stop
+/// word so it unwinds out of its pending yield with the [`Terminated`]
+/// sentinel, then drop the closures of those that never started. Every
+/// process is gone when this returns.
+fn terminate_all(shared: &KernelShared, procs: Vec<Option<Coroutine>>) {
+    {
+        let mut st = shared.state.lock();
+        st.terminating = true;
+        for s in st.slots.iter_mut() {
+            s.state = ProcState::Finished;
+        }
+    }
+    for mut proc in procs.into_iter().flatten() {
+        let finished = proc.resume(STOP);
+        assert!(finished, "a process yielded during teardown");
+    }
+    drop(shared.take_unstarted());
+}
+
+/// Sentinel panic payload used to unwind process stacks during teardown.
 pub(crate) struct Terminated;
 
 /// Keep the orderly [`Terminated`] unwind out of stderr: the default panic
@@ -893,7 +804,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A discrete-event simulation: spawn processes, then [`run`](Self::run).
 pub struct Simulation {
     shared: Arc<KernelShared>,
-    ran: bool,
 }
 
 impl Default for Simulation {
@@ -919,10 +829,9 @@ impl Simulation {
                 oracle: None,
                 outcome: None,
             }),
-            run_loop: ResumeCell::new(),
             tracer: Tracer::new(),
         });
-        Simulation { shared, ran: false }
+        Simulation { shared }
     }
 
     /// Install a scheduling oracle. The oracle is consulted whenever the
@@ -970,81 +879,50 @@ impl Simulation {
 
     /// Run until all processes finish or simulated time would pass `limit`.
     ///
-    /// This thread takes the first scheduling step; from then on the
-    /// processes hand control to one another, and this thread sleeps until
-    /// the step (or panic) that ends the run wakes it.
-    pub fn run_until(mut self, limit: SimTime) -> Result<Summary, SimError> {
-        self.ran = true;
-        self.shared.run_loop.set_thread(std::thread::current());
-        let mut st = self.shared.state.lock();
-        st.limit = limit;
-        let step = st.dispatch(&self.shared.tracer);
-        self.shared.hand_off(st, step);
-        let _ = self.shared.run_loop.wait();
-        let result = self
-            .shared
-            .state
-            .lock()
-            .outcome
-            .take()
-            .expect("run loop woken before the run ended");
-
-        if self.shared.tracer.analysis_enabled() {
-            // Terminal record: tells whole-trace checkers (liveness) the
-            // run actually ended here rather than being dumped mid-flight.
-            let time = self.shared.state.lock().now;
-            let (completed, deadlocked) = match &result {
-                Ok(c) => (*c, false),
-                Err(SimError::Deadlock { .. }) => (false, true),
-                Err(_) => (false, false),
-            };
-            self.shared.tracer.record_analysis(AnalysisRecord::RunEnd {
-                time,
-                completed,
-                deadlocked,
-            });
-        }
-        self.terminate_all();
-        result.map(|completed| {
-            let st = self.shared.state.lock();
-            Summary {
-                end_time: st.now,
-                processes_spawned: st.slots.len(),
-                events_processed: st.events,
-                completed,
+    /// The run loop and every process run on an engine thread taken from
+    /// a process-wide pool; this thread blocks until the run is over and
+    /// every process of it is gone.
+    pub fn run_until(self, limit: SimTime) -> Result<Summary, SimError> {
+        install_teardown_panic_filter();
+        let shared = Arc::clone(&self.shared);
+        pool::run(move || {
+            shared.state.lock().limit = limit;
+            let (result, procs) = run_loop(&shared);
+            if shared.tracer.analysis_enabled() {
+                // Terminal record: tells whole-trace checkers (liveness)
+                // the run actually ended here rather than being dumped
+                // mid-flight.
+                let time = shared.state.lock().now;
+                let (completed, deadlocked) = match &result {
+                    Ok(c) => (*c, false),
+                    Err(SimError::Deadlock { .. }) => (false, true),
+                    Err(_) => (false, false),
+                };
+                shared.tracer.record_analysis(AnalysisRecord::RunEnd {
+                    time,
+                    completed,
+                    deadlocked,
+                });
             }
-        })
-    }
-
-    /// Teardown protocol, for horizon stops, deadlocks, panics and
-    /// simulations dropped unrun: every unfinished slot gets a stop word,
-    /// which unwinds its thread with the [`Terminated`] sentinel out of its
-    /// pending yield (or ends it before its first resume); then every
-    /// latch still held is waited on — those processes plus a panicked
-    /// one — so each has unwound before this returns.
-    fn terminate_all(&mut self) {
-        let latches: Vec<Arc<Latch>> = {
-            let mut st = self.shared.state.lock();
-            st.terminating = true;
-            for s in st.slots.iter_mut() {
-                if s.state != ProcState::Finished {
-                    s.state = ProcState::Finished;
-                    s.cell.stop();
+            terminate_all(&shared, procs);
+            result.map(|completed| {
+                let st = shared.state.lock();
+                Summary {
+                    end_time: st.now,
+                    processes_spawned: st.slots.len(),
+                    events_processed: st.events,
+                    completed,
                 }
-            }
-            st.slots.iter_mut().filter_map(|s| s.done.take()).collect()
-        };
-        for latch in latches {
-            latch.wait();
-        }
+            })
+        })
     }
 }
 
 impl Drop for Simulation {
+    /// A simulation dropped unrun drops the closures of its processes,
+    /// none of which has started.
     fn drop(&mut self) {
-        if !self.ran {
-            self.terminate_all();
-        }
+        drop(self.shared.take_unstarted());
     }
 }
 
@@ -1375,8 +1253,8 @@ mod tests {
     }
 
     #[test]
-    fn lone_yielder_never_leaves_its_thread() {
-        // Every step picks the yielder itself: no hand-off, no clock move.
+    fn lone_yielder_is_picked_by_every_step() {
+        // Every step picks the yielder itself: the clock never moves.
         let mut sim = Simulation::new();
         sim.spawn("spinner", |ctx| {
             for _ in 0..10_000 {
@@ -1389,23 +1267,47 @@ mod tests {
     }
 
     #[test]
-    fn exited_process_drops_its_latch_and_hands_off() {
+    fn exited_process_is_finished_and_its_stack_reclaimed() {
         let mut sim = Simulation::new();
         let kernel = sim.kernel();
         sim.spawn("parent", move |ctx| {
             let child = ctx.spawn("child", |c| c.hold(SimDuration::from_millis(1)));
+            // The child starts (taking a stack) once this process yields.
+            ctx.yield_now();
+            let free = coro::free_stacks();
             ctx.hold(SimDuration::from_millis(2));
             let st = kernel.state.lock();
             let slot = &st.slots[child.index()];
             assert_eq!(slot.state, ProcState::Finished);
-            assert!(slot.done.is_none(), "exited process still awaited");
+            assert!(slot.body.is_none());
             assert_eq!(st.live, 1);
+            assert_eq!(coro::free_stacks(), free + 1, "child's stack not reclaimed");
         });
         let s = sim.run().unwrap();
         assert!(s.completed);
         assert_eq!(s.end_time.as_millis_f64(), 2.0);
-        // parent: spawn + timer; child: spawn + timer.
-        assert_eq!(s.events_processed, 4);
+        // parent: spawn + yield + timer; child: spawn + timer.
+        assert_eq!(s.events_processed, 5);
+    }
+
+    #[test]
+    fn sequential_processes_reuse_a_bounded_set_of_stacks() {
+        // 10,000 short processes, one at a time: at most two are alive at
+        // once (the spawner and its child), so at most two stacks are ever
+        // mapped on the engine thread.
+        let mut sim = Simulation::new();
+        sim.spawn("spawner", |ctx| {
+            let mapped = coro::stacks_mapped();
+            for i in 0..10_000 {
+                ctx.spawn(&format!("short-{i}"), |c| {
+                    c.hold(SimDuration::from_nanos(1))
+                });
+                ctx.hold(SimDuration::from_nanos(2));
+            }
+            assert!(coro::stacks_mapped() - mapped <= 1, "stacks not reused");
+        });
+        let s = sim.run().unwrap();
+        assert_eq!(s.processes_spawned, 10_001);
     }
 
     #[test]
@@ -1511,11 +1413,19 @@ mod tests {
     }
 
     #[test]
-    fn dropping_unran_simulation_reaps_threads() {
+    fn dropping_unran_simulation_drops_its_closures() {
+        let kept = Arc::new(());
         let mut sim = Simulation::new();
-        sim.spawn("never-run", |ctx| {
+        let held = Arc::clone(&kept);
+        sim.spawn("never-run", move |ctx| {
+            let _held = held;
             ctx.park();
         });
-        drop(sim); // must not hang
+        drop(sim);
+        assert_eq!(
+            Arc::strong_count(&kept),
+            1,
+            "closure outlived its simulation"
+        );
     }
 }

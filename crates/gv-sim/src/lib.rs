@@ -2,12 +2,12 @@
 //!
 //! The execution substrate for the GPU-virtualization reproduction: a
 //! SimPy-style process-oriented discrete-event simulator. Simulation
-//! *processes* are ordinary Rust closures, each on an OS thread of its own
-//! (recycled from process to process), but exactly one runs at a time, so execution is deterministic and all shared
-//! state is effectively single-threaded. There is no engine thread in the
-//! loop: a process that yields takes the scheduling step itself and hands
-//! control directly to its successor (or keeps it, when the step picks it
-//! again), so an event costs at most one thread switch. See [`kernel`].
+//! *processes* are ordinary Rust closures, each run as a stackful coroutine
+//! on a stack of its own. One run loop on one engine thread takes every
+//! scheduling step and resumes the process it picks; a process that yields
+//! switches back to the loop in user space, with no kernel context switch.
+//! Exactly one process runs at a time, so execution is deterministic and
+//! all shared state is effectively single-threaded. See [`kernel`].
 //!
 //! ```
 //! use gv_sim::{Simulation, SimDuration};
@@ -23,8 +23,8 @@
 //!
 //! Modules:
 //! * [`time`] — `SimTime` / `SimDuration` (nanosecond clock)
-//! * [`kernel`] — the engine ([`Simulation`]): scheduling step, direct
-//!   hand-off between process threads, process lifecycle
+//! * [`kernel`] — the engine ([`Simulation`]): run loop, scheduling step,
+//!   process lifecycle and teardown
 //! * [`process`] — the per-process handle ([`Ctx`])
 //! * [`sync`] — semaphores, condition queues, barriers, gates
 //! * [`channel`] — blocking MPMC channels
@@ -37,6 +37,7 @@
 
 pub mod channel;
 pub mod clock;
+mod coro;
 pub mod kernel;
 pub mod oracle;
 mod pool;

@@ -1,107 +1,83 @@
-//! Recycled OS threads for simulation processes.
+//! Engine threads: the OS threads simulation runs execute on.
 //!
-//! Every process runs on an OS thread of its own, and most processes are
-//! short-lived: an SPMD rank, a cluster session. Creating one thread per
-//! process made thread creation most of a workload's set-up time, so a
-//! finished process hands its thread back here and a later spawn reuses
-//! it. The pool is process-wide; simulations on different OS threads share
-//! it, and a worker belongs to exactly one process at a time.
+//! [`Simulation::run_until`](crate::Simulation::run_until) hands its run
+//! loop, and with it every process of the run, to one engine thread and
+//! blocks until the loop returns. Engine threads are recycled through one
+//! process-wide pool, so there is one thread per concurrently running
+//! simulation, not one per process, and back-to-back runs reuse the same
+//! thread (with its malloc arena and its free list of coroutine stacks).
 //!
-//! A recycled thread keeps its glibc per-thread malloc cache, filled with
-//! whatever the previous process freed. Handing that cache to a process of
-//! a different shape grows peak memory, so a spawn takes the idle worker
-//! that last ran a process of the same name (`spmd-3`, `gpu-sched`) and
-//! falls back to the most recently idled one.
+//! Running the loop on a thread of its own, rather than on the caller's,
+//! keeps the processes' allocations out of the main thread's `brk` arena,
+//! which glibc trims on large frees: on `main`, bulk-steady took about ten
+//! times the page faults per run (DESIGN.md §20).
 
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
 use std::thread::{self, Thread};
 
 use parking_lot::Mutex;
 
-/// One process body with its exit protocol. It gets the [`Worker`] it
-/// runs on and returns it to the pool by dropping it.
-pub(crate) type Job = Box<dyn FnOnce(Worker) + Send>;
+/// One run with its result delivery. It gets the idle registration of the
+/// thread it runs on and files it before delivering.
+type Job = Box<dyn FnOnce(Idle) + Send>;
 
-/// Where a worker finds its next job and the name of the process it
-/// belongs to.
-type Mailbox = Arc<Mutex<Option<(String, Job)>>>;
+/// Where an engine thread finds its next job.
+type Mailbox = Arc<Mutex<Option<Job>>>;
 
-/// A worker waiting for a job.
+/// An engine thread waiting for a job.
 struct Idle {
-    /// Name of the process it ran last: the affinity key.
-    last: String,
     thread: Thread,
     mailbox: Mailbox,
 }
 
-/// Idle workers, most recently idled last.
+/// Idle engine threads, most recently idled last.
 static IDLE: Mutex<Vec<Idle>> = Mutex::new(Vec::new());
 
-/// The worker a job runs on. Dropping it makes the worker idle, so a job
-/// can offer its thread for the next spawn before it has quite returned:
-/// the next job waits in the mailbox until this one ends.
-pub(crate) struct Worker {
-    name: String,
-    mailbox: Mailbox,
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        // A job that unwinds out of its exit protocol takes the thread
-        // down with it; such a worker must not be handed more work.
-        if thread::panicking() {
-            return;
-        }
-        IDLE.lock().push(Idle {
-            last: std::mem::take(&mut self.name),
-            thread: thread::current(),
-            mailbox: Arc::clone(&self.mailbox),
-        });
-    }
-}
-
-/// Run `job`, the body of a process called `name`, on an idle worker, or
-/// on a new one when none is idle. Returns the thread that runs it.
-pub(crate) fn run(name: &str, job: Job) -> Thread {
-    let idle = {
-        let mut idle = IDLE.lock();
-        match idle.iter().rposition(|w| w.last == name) {
-            Some(i) => Some(idle.remove(i)),
-            None => idle.pop(),
-        }
-    };
-    let next = Some((name.to_string(), job));
+/// Run `f` on an idle engine thread, or on a new one when none is idle,
+/// and block until it returns. A panic in `f` resumes on the caller.
+pub(crate) fn run<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::sync_channel(1);
+    let job: Job = Box::new(move |idle: Idle| {
+        let result = panic::catch_unwind(AssertUnwindSafe(f));
+        // Idle again before the caller wakes, so its next run finds this
+        // thread in the pool.
+        IDLE.lock().push(idle);
+        let _ = tx.send(result);
+    });
+    let idle = IDLE.lock().pop();
     match idle {
-        Some(worker) => {
-            *worker.mailbox.lock() = next;
-            worker.thread.unpark();
-            worker.thread
+        Some(engine) => {
+            *engine.mailbox.lock() = Some(job);
+            engine.thread.unpark();
         }
         None => {
-            let mailbox = Arc::new(Mutex::new(next));
+            let mailbox = Arc::new(Mutex::new(Some(job)));
             thread::Builder::new()
-                .name("sim-worker".to_string())
+                .name("sim-engine".to_string())
                 .spawn(move || work(mailbox))
-                .expect("failed to spawn simulation worker thread")
-                .thread()
-                .clone()
+                .expect("failed to spawn a simulation engine thread");
         }
+    }
+    match rx.recv().expect("engine thread exited mid-run") {
+        Ok(result) => result,
+        Err(payload) => panic::resume_unwind(payload),
     }
 }
 
-/// A worker's life: take the job in the mailbox and run it, then wait for
-/// the next. `park` may return spuriously or on a token left by a job's
-/// own wake-ups, hence the inner loop.
+/// An engine thread's life: take the job in the mailbox and run it, then
+/// wait for the next. `park` may return spuriously or on a stale token,
+/// hence the inner loop.
 fn work(mailbox: Mailbox) {
     loop {
-        let (name, job) = loop {
-            if let Some(next) = mailbox.lock().take() {
-                break next;
+        let job = loop {
+            if let Some(job) = mailbox.lock().take() {
+                break job;
             }
             thread::park();
         };
-        job(Worker {
-            name,
+        job(Idle {
+            thread: thread::current(),
             mailbox: Arc::clone(&mailbox),
         });
     }

@@ -1,9 +1,10 @@
 //! The process-side handle, [`Ctx`].
 //!
 //! A `Ctx` is handed to every process closure. All blocking operations
-//! (`hold`, `park`, `park_timeout`) are yields: the process takes the
-//! scheduling step itself and hands control to whichever process it picks
-//! (possibly itself, in which case it simply continues). All other
+//! (`hold`, `park`, `park_timeout`) are yields: the process records what it
+//! waits for and switches from its own stack to the run loop, which takes
+//! the scheduling step and resumes whichever process it picks (possibly
+//! this one again). All other
 //! operations mutate shared kernel state directly and return without
 //! yielding, so a process observes no interleaving between two consecutive
 //! non-yielding calls.
@@ -11,7 +12,7 @@
 use std::sync::Arc;
 
 use crate::clock::VClock;
-use crate::kernel::{KernelShared, Pid, ResumeCell, WaitCause, WaitKind, WakeReason, YieldOp};
+use crate::kernel::{KernelShared, Pid, WaitCause, WaitKind, WakeReason, YieldOp};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 
@@ -20,17 +21,15 @@ use crate::trace::Tracer;
 pub struct Ctx {
     shared: Arc<KernelShared>,
     pid: Pid,
-    /// The cell this process sleeps on while others run.
-    cell: Arc<ResumeCell>,
 }
 
 impl Ctx {
-    pub(crate) fn new(shared: Arc<KernelShared>, pid: Pid, cell: Arc<ResumeCell>) -> Self {
-        Ctx { shared, pid, cell }
+    pub(crate) fn new(shared: Arc<KernelShared>, pid: Pid) -> Self {
+        Ctx { shared, pid }
     }
 
     fn do_yield(&mut self, op: YieldOp) -> WakeReason {
-        self.shared.yield_process(self.pid, &self.cell, op)
+        self.shared.yield_process(self.pid, op)
     }
 
     /// This process's identifier.

@@ -95,8 +95,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Re-running the same program yields the identical schedule — the
-    /// same completion order, end time and number of scheduling steps: the
-    /// engine is deterministic despite being built on OS threads.
+    /// same completion order, end time and number of scheduling steps.
     #[test]
     fn schedules_are_reproducible(
         holds in prop::collection::vec(prop::collection::vec(0u64..500, 0..8), 1..6)
@@ -106,10 +105,9 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The oracle is consulted in the same order whichever thread takes
-    /// the scheduling step: a recording run equals the oracle-free run, and
-    /// replaying its log (or a random oracle's) reproduces the run and the
-    /// decisions it was asked.
+    /// A recording oracle changes nothing: a recording run equals the
+    /// oracle-free run, and replaying its log (or a random oracle's)
+    /// reproduces the run and the decisions it was asked.
     #[test]
     fn recorded_schedules_replay(
         holds in prop::collection::vec(prop::collection::vec(0u64..50, 0..8), 1..6),
